@@ -18,6 +18,18 @@
  * path from staggered offsets, each keeping one request in flight, so
  * the queue stays deep enough for the service to coalesce full batches.
  *
+ * A publish probe times SnapshotSlot::publish on the train-city
+ * profile's 300k-Gaussian BigCity model and 16 views at 64x48. Each
+ * publish changes the rows a training step's Adam would: it draws 16
+ * view ids with replacement, as Trainer::trainSteps does, and changes
+ * every row visible from any of them. publish_full_ms passes no changed
+ * set (copy and hash every row), publish_incremental_ms passes the
+ * changed rows (copy and rehash only those, plus the previous publish's
+ * rows in the copy). The probe reports the mean share of rows changed
+ * and the mean share of them that the previous publish also changed,
+ * and checks every published snapshot is bitwise the model and carries
+ * the full-model hash.
+ *
  * Prints a table and emits BENCH_serve.json (scripts/bench_serve.sh)
  * with the machine/build context block.
  *
@@ -34,6 +46,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "math/stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
@@ -42,6 +55,7 @@
 #include "render/rasterizer.hpp"
 #include "serve/render_service.hpp"
 #include "serve/snapshot.hpp"
+#include "train/quality_harness.hpp"
 
 using namespace clm;
 
@@ -285,6 +299,104 @@ runCase(const ServeCase &c)
     return r;
 }
 
+struct PublishResult
+{
+    size_t gaussians = 0;
+    double changed_frac = 0;      //!< Mean share of rows changed.
+    double retouch_frac = 0;      //!< Mean share of those the previous
+                                  //!< publish changed too.
+    double full_ms = 0;           //!< Median, no changed set.
+    double incremental_ms = 0;    //!< Median, changed rows passed.
+    bool exact = true;            //!< Every snapshot bitwise the model.
+};
+
+/** See the file comment. Each rep first changes (untimed) the rows of a
+ *  fresh batch, as a training step would. */
+PublishResult
+runPublishProbe()
+{
+    constexpr size_t kGaussians = 300000;
+    constexpr int kViews = 16;    // train-city: 16 views, 16 per batch
+    constexpr int kReps = 7;
+    PublishResult r;
+    r.gaussians = kGaussians;
+    // The train-city model and views (perfbench): a trainee grown from
+    // a 3000-Gaussian ground truth, seen from 16 views at 64x48.
+    SceneSpec spec = SceneSpec::bigCity();
+    spec.train = {3000, kViews, 64, 48};
+    GaussianModel model = makeTrainee(
+        generateGroundTruth(spec, spec.train.n_gaussians), kGaussians,
+        spec.seed);
+    std::vector<std::vector<uint32_t>> visible;
+    for (const Camera &view : trainCameras(spec))
+        visible.push_back(frustumCull(model, view));
+
+    Rng rng(2024);
+    std::vector<uint8_t> in_prev(kGaussians), listed(kGaussians);
+    std::vector<uint32_t> changed, prev;
+    double changed_sum = 0, retouch_sum = 0;
+    int batches = 0;
+    auto next_batch = [&] {
+        prev.swap(changed);
+        changed.clear();
+        for (int b = 0; b < kViews; ++b) {
+            for (uint32_t i : visible[rng.uniformInt(0, kViews - 1)]) {
+                if (!listed[i]) {
+                    listed[i] = 1;
+                    changed.push_back(i);
+                }
+            }
+        }
+        size_t retouched = 0;
+        for (uint32_t i : prev)
+            in_prev[i] = 1;
+        for (uint32_t i : changed)
+            retouched += in_prev[i];
+        for (uint32_t i : prev)
+            in_prev[i] = 0;
+        for (uint32_t i : changed)
+            listed[i] = 0;
+        changed_sum += static_cast<double>(changed.size()) / kGaussians;
+        retouch_sum += changed.empty()
+            ? 0 : static_cast<double>(retouched) / changed.size();
+        ++batches;
+        // Write the whole row, as an Adam step does.
+        for (uint32_t i : changed) {
+            model.position(i).x += 1e-3f;
+            model.logScale(i).y += 1e-3f;
+            model.rotation(i).w += 1e-3f;
+            for (int c = 0; c < kShDim; ++c)
+                model.sh(i)[c] += 1e-3f;
+            model.rawOpacity(i) += 1e-3f;
+        }
+    };
+
+    SnapshotSlot slot;
+    auto publish = [&](int rep, bool incremental) {
+        next_batch();
+        Timer t;
+        slot.publish(model, rep, incremental ? &changed : nullptr);
+        const double ms = t.millis();
+        auto snap = slot.acquire();
+        r.exact = r.exact && snap->model.bitwiseEquals(model)
+                  && snap->param_hash == hashModelParams(model);
+        return ms;
+    };
+    std::vector<double> full, incremental;
+    for (int rep = 0; rep < kReps; ++rep)
+        full.push_back(publish(rep, false));
+    // Untimed: the first publish after a full one still copies every
+    // row into the spare, which lags by rows no record lists.
+    publish(kReps, true);
+    for (int rep = 0; rep < kReps; ++rep)
+        incremental.push_back(publish(kReps + 1 + rep, true));
+    r.changed_frac = changed_sum / batches;
+    r.retouch_frac = retouch_sum / batches;
+    r.full_ms = EmpiricalCdf(full).percentile(50);
+    r.incremental_ms = EmpiricalCdf(incremental).percentile(50);
+    return r;
+}
+
 bool
 anySweepBreached(const std::vector<CaseResult> &results)
 {
@@ -297,7 +409,7 @@ anySweepBreached(const std::vector<CaseResult> &results)
 
 void
 writeJson(const std::string &path, const std::vector<CaseResult> &results,
-          bool smoke)
+          const PublishResult &publish, bool smoke)
 {
     std::ofstream f(path);
     f << "{\n  \"bench\": \"serve\",\n  \"smoke\": "
@@ -305,6 +417,13 @@ writeJson(const std::string &path, const std::vector<CaseResult> &results,
     bench::writeJsonContext(f);
     f << "  \"slo_breached\": "
       << (anySweepBreached(results) ? "true" : "false") << ",\n";
+    f << "  \"publish\": {\"gaussians\": " << publish.gaussians
+      << ", \"changed_frac\": " << publish.changed_frac
+      << ", \"retouch_frac\": " << publish.retouch_frac
+      << ", \"publish_full_ms\": " << publish.full_ms
+      << ", \"publish_incremental_ms\": " << publish.incremental_ms
+      << ", \"bitwise_identical\": "
+      << (publish.exact ? "true" : "false") << "},\n";
     f << "  \"cases\": [\n";
     for (size_t i = 0; i < results.size(); ++i) {
         const CaseResult &r = results[i];
@@ -420,11 +539,23 @@ main(int argc, char **argv)
     std::cout << "\n";
     table.print(std::cout);
 
-    writeJson(out_path, results, smoke);
+    const PublishResult publish = runPublishProbe();
+    std::cout << "\npublish (" << publish.gaussians << " Gaussians, "
+              << Table::fmt(publish.changed_frac * 100.0, 0)
+              << "% rows changed, "
+              << Table::fmt(publish.retouch_frac * 100.0, 0)
+              << "% of them also by the previous publish): full "
+              << Table::fmt(publish.full_ms, 2) << " ms, incremental "
+              << Table::fmt(publish.incremental_ms, 2) << " ms, snapshots "
+              << (publish.exact ? "bit-identical" : "MISMATCH")
+              << " to the model\n";
+    all_identical = all_identical && publish.exact;
+
+    writeJson(out_path, results, publish, smoke);
     std::cout << "\nwrote " << out_path << "\n";
     if (!all_identical) {
         std::cerr << "FAIL: batched or traced images differ from "
-                     "sequential\n";
+                     "sequential, or a snapshot differs from its model\n";
         return 1;
     }
     if (anySweepBreached(results)) {

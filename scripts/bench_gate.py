@@ -93,6 +93,10 @@ def extract_serve(data):
             m[f"{name}.b{b}.p99_ms"] = (pt["p99_ms"], "lower", LAT)
         if case.get("batch4_speedup"):
             m[f"{name}.batch4_speedup"] = (case["batch4_speedup"], "higher", RATIO)
+    publish = data.get("publish", {})
+    for field in ("publish_full_ms", "publish_incremental_ms"):
+        if field in publish:
+            m[f"publish.{field}"] = (publish[field], "lower", LAT)
     return m
 
 

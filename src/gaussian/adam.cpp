@@ -22,6 +22,30 @@ CpuAdam::reset(size_t n)
     m_opacity_.assign(n, 0.0f);
     v_opacity_.assign(n, 0.0f);
     step_.assign(n, 0);
+    row_changed_.assign(n, 0);
+    changed_rows_.clear();
+    all_changed_ = true;
+}
+
+bool
+CpuAdam::takeChangedRows(std::vector<uint32_t> &rows)
+{
+    rows.clear();
+    const bool known = !all_changed_;
+    for (uint32_t i : changed_rows_)
+        row_changed_[i] = 0;
+    rows.swap(changed_rows_);
+    all_changed_ = false;
+    return known;
+}
+
+void
+CpuAdam::markAllChanged()
+{
+    for (uint32_t i : changed_rows_)
+        row_changed_[i] = 0;
+    changed_rows_.clear();
+    all_changed_ = true;
 }
 
 void
@@ -42,6 +66,7 @@ CpuAdam::update(GaussianModel &model, const GaussianGrads &grads)
 {
     std::vector<uint32_t> all(model.size());
     std::iota(all.begin(), all.end(), 0u);
+    markAllChanged();    // listing every row would only cost memory
     updateSubset(model, grads, all);
 }
 
@@ -53,6 +78,15 @@ CpuAdam::updateSubset(GaussianModel &model, const GaussianGrads &grads,
                "optimizer state size mismatch: model=", model.size(),
                " adam=", size());
     CLM_ASSERT(grads.size() == size(), "gradient size mismatch");
+
+    if (!all_changed_) {
+        for (uint32_t i : indices) {
+            if (!row_changed_[i]) {
+                row_changed_[i] = 1;
+                changed_rows_.push_back(i);
+            }
+        }
+    }
 
     auto update_rows = [&](size_t begin, size_t end) {
         for (size_t k = begin; k < end; ++k)

@@ -57,8 +57,9 @@ class CpuAdam
 
     /**
      * Apply one Adam step to *all* Gaussians using @p grads.
-     * Equivalent to updateSubset() with the full index range; used by the
-     * non-overlapped (naive offload / GPU-only) training paths.
+     * Equivalent to updateSubset() with the full index range, except that
+     * it leaves the changed-row record "unknown" instead of listing every
+     * row.
      */
     void update(GaussianModel &model, const GaussianGrads &grads);
 
@@ -69,9 +70,32 @@ class CpuAdam
      * updated early (because it was finalized by an early microbatch) sees
      * exactly the same bias correction as it would at batch end. This is
      * what makes overlapped CPU Adam bit-identical to batch-end Adam.
+     *
+     * Also records each listed row in the changed-row record. Call from
+     * one thread at a time (the finalization thread or the trainer).
      */
     void updateSubset(GaussianModel &model, const GaussianGrads &grads,
                       const std::vector<uint32_t> &indices);
+
+    /** @name Changed-row record
+     * The trainers write the master model only through this optimizer
+     * between snapshot publishes, so the rows updateSubset() touched are
+     * exactly the rows that changed. The record lists them once each, in
+     * first-update order, until takeChangedRows() hands them over; the
+     * snapshot slot then copies and rehashes only those rows. reset()
+     * and update() leave it "unknown" (every row may have changed).
+     * Bookkeeping: one flag byte per row plus 4 bytes per listed row.
+     */
+    /// @{
+    /** Move the rows changed since the last take into @p rows (replacing
+     *  its contents) and start an empty record.
+     *  @return false when the record was unknown; @p rows is then empty
+     *  and every row must be treated as changed. */
+    bool takeChangedRows(std::vector<uint32_t> &rows);
+
+    /** Make the record unknown (every row may have changed). */
+    void markAllChanged();
+    /// @}
 
     /** Per-Gaussian step counts (for tests and bias-correction checks). */
     uint32_t stepCount(size_t i) const { return step_[i]; }
@@ -104,6 +128,10 @@ class CpuAdam
     std::vector<float> m_sh_, v_sh_;
     std::vector<float> m_opacity_, v_opacity_;
     std::vector<uint32_t> step_;
+
+    std::vector<uint8_t> row_changed_;      //!< 1 iff listed below.
+    std::vector<uint32_t> changed_rows_;    //!< Unique, unsorted.
+    bool all_changed_ = true;               //!< Record is unknown.
 };
 
 } // namespace clm

@@ -77,6 +77,24 @@ loadModel(const std::string &path)
     uint64_t count = 0;
     readBytes(f.get(), &count, sizeof(count));
 
+    // Bound the count by the bytes that follow before allocating: a
+    // forged header must not make us reserve 2^36 Gaussians.
+    const long rows_begin = std::ftell(f.get());
+    long file_end = -1;
+    if (rows_begin >= 0 && std::fseek(f.get(), 0, SEEK_END) == 0) {
+        file_end = std::ftell(f.get());
+        if (std::fseek(f.get(), rows_begin, SEEK_SET) != 0)
+            file_end = -1;
+    }
+    if (file_end < rows_begin)
+        CLM_FATAL("cannot determine the size of ", path);
+    const uint64_t row_bytes = kParamsPerGaussian * sizeof(float);
+    const uint64_t available =
+        static_cast<uint64_t>(file_end - rows_begin) / row_bytes;
+    if (count > available)
+        CLM_FATAL(path, " claims ", count, " Gaussians but holds at most ",
+                  available, " (truncated or corrupt checkpoint)");
+
     GaussianModel model(count);
     std::vector<float> row(kParamsPerGaussian);
     for (size_t i = 0; i < count; ++i) {

@@ -21,7 +21,9 @@ namespace clm {
  */
 void saveModel(const GaussianModel &model, const std::string &path);
 
-/** Load a checkpoint written by saveModel(). Fatal on format errors. */
+/** Load a checkpoint written by saveModel(). Fatal (throws) on format
+ *  errors, including a count the file's remaining bytes cannot hold —
+ *  checked before anything is allocated. */
 GaussianModel loadModel(const std::string &path);
 
 /**

@@ -99,6 +99,30 @@ GaussianModel::append(const Vec3 &pos, const Vec3 &log_scale,
     return position_.size() - 1;
 }
 
+namespace {
+
+template <typename T>
+bool
+sameBytes(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size()
+           && (a.empty()
+               || std::memcmp(a.data(), b.data(), a.size() * sizeof(T))
+                      == 0);
+}
+
+} // namespace
+
+bool
+GaussianModel::bitwiseEquals(const GaussianModel &other) const
+{
+    return sameBytes(position_, other.position_)
+           && sameBytes(log_scale_, other.log_scale_)
+           && sameBytes(rotation_, other.rotation_)
+           && sameBytes(sh_, other.sh_)
+           && sameBytes(raw_opacity_, other.raw_opacity_);
+}
+
 void
 GaussianModel::removeRows(const std::vector<uint32_t> &sorted_indices)
 {

@@ -146,6 +146,10 @@ class GaussianModel
     /** Inverse of packCritical(). */
     void unpackCritical(size_t i, const float *in);
 
+    /** True iff @p other holds bit-identical raw parameters (bytes are
+     *  compared, so NaN payloads and signed zeros count). */
+    bool bitwiseEquals(const GaussianModel &other) const;
+
     /** Total model-state bytes during training (params+grad+2 moments). */
     size_t modelStateBytes() const
     { return size() * kModelStateBytesPerGaussian; }

@@ -56,9 +56,15 @@ void Tracer::enable(Tracer *t)
 
 uint64_t Tracer::nowNs() const
 {
+    return toNs(std::chrono::steady_clock::now());
+}
+
+uint64_t Tracer::toNs(std::chrono::steady_clock::time_point t) const
+{
+    if (t <= epoch_)
+        return 0;
     return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - epoch_)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
             .count());
 }
 

@@ -107,6 +107,9 @@ class Tracer
     /** Nanoseconds since this tracer's construction (monotonic). */
     uint64_t nowNs() const;
 
+    /** @p t on this tracer's clock (0 if before its construction). */
+    uint64_t toNs(std::chrono::steady_clock::time_point t) const;
+
     /** Append a span to the calling thread's ring (lock-free after
      *  the thread's first record). */
     void record(const char *name, uint64_t trace_id, uint64_t t0_ns,

@@ -115,11 +115,15 @@ TransferEngine::uploadParams(const GaussianModel &model)
     pool_.zeroGradients();
 }
 
-void
-TransferEngine::addStageTime(TrainStage stage, double seconds)
+double
+TransferEngine::addStageTime(TrainStage stage, const Timer &since)
 {
+    // Read the clock before taking the lock (the Adam thread's
+    // finalize holds it too), so the wait is not counted as stage time.
+    const double secs = since.seconds();
     std::lock_guard<std::mutex> lock(timings_mutex_);
-    timings_.add(stage, seconds);
+    timings_.add(stage, secs, since.started());
+    return secs;
 }
 
 void
@@ -161,7 +165,7 @@ TransferEngine::stage(size_t i)
     buf.bind(sets_[i]);
     // Selective load (PCIe) from the pinned pool (§4.2.1, §5.2).
     gatherParams(pool_, buf, t.load_new);
-    addStageTime(TrainStage::Gather, timer.seconds());
+    addStageTime(TrainStage::Gather, timer);
     counters_.records_loaded += t.load_new.size();
     // Cache copy (GPU-GPU) from the previous microbatch's buffer. Its
     // parameter rows are immutable once staged, so this is safe while
@@ -169,7 +173,7 @@ TransferEngine::stage(size_t i)
     if (i > 0 && !t.copy_cached.empty()) {
         timer.reset();
         copyCachedParams(buffers_[(i - 1) % 2], buf, t.copy_cached);
-        addStageTime(TrainStage::CacheCopy, timer.seconds());
+        addStageTime(TrainStage::CacheCopy, timer);
     }
     counters_.cache_hits += t.copy_cached.size();
     buf.zeroGrads();
@@ -197,7 +201,7 @@ TransferEngine::acquire(size_t i)
         Timer timer;
         accumulateCarriedGrads(buffers_[(i - 1) % 2], buf,
                                cache_.mb[i - 1].carry_grads);
-        addStageTime(TrainStage::Carry, timer.seconds());
+        addStageTime(TrainStage::Carry, timer);
     }
     // Stage microbatch i+1 on the worker while i computes (§5.3). Reads
     // only buf's parameter rows and the pinned parameter records — both
@@ -216,8 +220,7 @@ void
 TransferEngine::release(size_t i)
 {
     CLM_ASSERT(in_batch_, "release outside a batch");
-    double compute = compute_timer_.seconds();
-    addStageTime(TrainStage::Compute, compute);
+    const double compute = addStageTime(TrainStage::Compute, compute_timer_);
     {
         std::lock_guard<std::mutex> lock(timings_mutex_);
         timings_.noteMicrobatch(pending_wait_, compute);
@@ -228,7 +231,7 @@ TransferEngine::release(size_t i)
     // Selective RMW gradient offload for rows not needed next (§5.3).
     Timer timer;
     scatterAccumulateGrads(buf, pool_, t.store_grads);
-    addStageTime(TrainStage::Scatter, timer.seconds());
+    addStageTime(TrainStage::Scatter, timer);
     counters_.records_stored += t.store_grads.size();
     last_scatter_t_ = batch_timer_.seconds();
 
@@ -281,7 +284,7 @@ TransferEngine::runFinalize(const std::vector<uint32_t> &fin)
     double at = batch_timer_.seconds();
     {
         std::lock_guard<std::mutex> lock(timings_mutex_);
-        timings_.add(TrainStage::Finalize, secs);
+        timings_.add(TrainStage::Finalize, secs, timer.started());
         timings_.finalize_inline |= !config_.async_finalize;
         last_finalize_t_ = std::max(last_finalize_t_, at);
     }

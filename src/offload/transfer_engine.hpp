@@ -129,8 +129,10 @@ class TransferEngine
     /** Measured stage timers (accumulated; call between batches). */
     const StageTimings &timings() const { return timings_; }
 
-    /** Record stage time measured outside the engine (e.g. planning). */
-    void addStageTime(TrainStage stage, double seconds);
+    /** Record the time of a stage timed by @p since that ends now
+     *  (also used for stages outside the engine, e.g. planning).
+     *  @return the seconds recorded. */
+    double addStageTime(TrainStage stage, const Timer &since);
 
     /** Discard accumulated stage timers. */
     void resetTimings();

@@ -296,8 +296,12 @@ RenderService::workerLoop()
                 // ambient trace id via StageClock).
                 TraceContext trace_ctx(batch[0].id);
                 ScopedSpan render_span("serve.render_batch");
-                frustumCullBatch(snap->model, cams, arena.cull, subsets,
-                                 config_.render.parallel, snap->version);
+                {
+                    ScopedSpan cull_span("render.cull");
+                    frustumCullBatch(snap->model, cams, arena.cull,
+                                     subsets, config_.render.parallel,
+                                     snap->version);
+                }
                 renderForwardBatch(snap->model, cams, subsets,
                                    config_.render, arena);
             }
@@ -312,7 +316,11 @@ RenderService::workerLoop()
                 const double t0 = clock_.seconds();
                 TraceContext trace_ctx(batch[v].id);
                 ScopedSpan render_span("serve.render");
-                auto subset = frustumCull(snap->model, batch[v].camera);
+                std::vector<uint32_t> subset;
+                {
+                    ScopedSpan cull_span("render.cull");
+                    subset = frustumCull(snap->model, batch[v].camera);
+                }
                 const RenderOutput &out =
                     renderForward(snap->model, batch[v].camera, subset,
                                   config_.render, arena.views[0]);

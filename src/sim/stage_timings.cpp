@@ -53,20 +53,26 @@ stageSpanName(TrainStage s)
 }
 
 void
-StageTimings::add(TrainStage s, double secs)
+StageTimings::add(TrainStage s, double secs, Timer::Clock::time_point start)
 {
     seconds[static_cast<size_t>(s)] += secs;
     count[static_cast<size_t>(s)] += 1;
-    // Callers time stages as "do work; add(stage, elapsed)", so the
-    // interval being reported is the one that just ended: [now - secs,
-    // now] on the tracer clock.
     if (Tracer *tracer = Tracer::current()) {
-        const uint64_t now_ns = tracer->nowNs();
+        const uint64_t t0_ns = tracer->toNs(start);
         const uint64_t dur_ns = secs > 0
             ? static_cast<uint64_t>(secs * 1e9) : 0;
-        tracer->record(stageSpanName(s), currentTraceId(),
-                       now_ns >= dur_ns ? now_ns - dur_ns : 0, now_ns);
+        tracer->record(stageSpanName(s), currentTraceId(), t0_ns,
+                       t0_ns + dur_ns);
     }
+}
+
+void
+StageTimings::add(TrainStage s, double secs)
+{
+    add(s, secs,
+        Timer::Clock::now()
+            - std::chrono::duration_cast<Timer::Clock::duration>(
+                std::chrono::duration<double>(secs)));
 }
 
 void

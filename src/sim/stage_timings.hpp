@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/timer.hpp"
+
 namespace clm {
 
 class MetricsRegistry;
@@ -79,10 +81,17 @@ struct StageTimings
     double operator[](TrainStage s) const
     { return seconds[static_cast<size_t>(s)]; }
 
-    /** Record @p secs of busy time for stage @p s. When the global
-     *  tracer is enabled, also records a train.<stage> span covering
-     *  the interval that just elapsed — the offload pipeline's stage
-     *  accounting and the tracer share this single entry point. */
+    /** Record @p secs of busy time for stage @p s, which started at
+     *  @p start. When the global tracer is enabled, also records a
+     *  train.<stage> span [start, start + secs] — the offload
+     *  pipeline's stage accounting and the tracer share this single
+     *  entry point. Stamping from the start (not from "now") keeps the
+     *  span in place when the caller waited between the stage's end and
+     *  this call, so spans recorded inside the stage (e.g. render.cull
+     *  in Schedule) nest inside it. */
+    void add(TrainStage s, double secs, Timer::Clock::time_point start);
+
+    /** Same, for a stage that ended just now. */
     void add(TrainStage s, double secs);
 
     /** Record one microbatch's (stall, compute) pair. */

@@ -65,7 +65,7 @@ ClmTrainer::trainBatch(const std::vector<int> &view_ids)
     PlannerConfig pc = config_.planner;
     pc.system = SystemKind::Clm;
     const BatchPlanResult &plan = ctx_.planViews(pc, wl);
-    engine_.addStageTime(TrainStage::Schedule, sched.seconds());
+    engine_.addStageTime(TrainStage::Schedule, sched);
 
     // 2. Execute microbatches in planned order through the engine.
     engine_.beginBatch(ctx_.orderedSets(wl), plan.cache, plan.fin);

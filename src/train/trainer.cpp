@@ -55,6 +55,9 @@ Trainer::trainSteps(int steps)
 void
 Trainer::setSnapshotSink(SnapshotSlot *slot)
 {
+    // Rows recorded since a publish to another slot say nothing about
+    // this one's current snapshot: its first publish copies every row.
+    adam_.markAllChanged();
     snapshot_sink_ = slot;
     publishSnapshot();    // readers get the pre-training state at once
 }
@@ -78,13 +81,18 @@ void
 Trainer::publishSnapshot()
 {
     // Unconditional: a reader attaching at ANY later point must find
-    // the latest step's state, so every boundary republishes. The cost
-    // (one model copy + hash) is small next to a training batch at the
-    // session model sizes trainers run; skipping republishes while the
-    // slot is idle would hand late-attaching readers a stale model.
+    // the latest step's state, so every boundary republishes; skipping
+    // republishes while the slot is idle would hand late-attaching
+    // readers a stale model. A full copy + hash is O(model) — about a
+    // quarter of a 300k-Gaussian city step — so the publish passes the
+    // rows Adam changed since the last one and the slot copies and
+    // rehashes only those (CpuAdam's record is unknown after
+    // construction and densify, which makes that publish a full one).
     if (snapshot_sink_ != nullptr) {
         ScopedSpan span("train.publish");
-        snapshot_sink_->publish(model(), batches_done_);
+        const bool known = adam_.takeChangedRows(publish_rows_);
+        snapshot_sink_->publish(model(), batches_done_,
+                                known ? &publish_rows_ : nullptr);
         // Sharded republish at the same point; the slot no-ops unless
         // the version advanced, so this re-partitions exactly once per
         // model change.
@@ -207,6 +215,7 @@ GpuOnlyTrainer::trainBatch(const std::vector<int> &view_ids)
         StageClock stage_clock;
         frustumCullBatch(model_, cams, batch_arena_.cull, subsets,
                          render.parallel);
+        stage_clock.lap("render.cull");
         batch_arena_.retain_staging = true;
         renderForwardBatch(model_, cams, subsets, render, batch_arena_);
         stage_clock.lap("train.forward");
@@ -226,7 +235,11 @@ GpuOnlyTrainer::trainBatch(const std::vector<int> &view_ids)
         touched = batch_arena_.union_indices;
     } else {
         for (int v : view_ids) {
-            auto subset = frustumCull(model_, cameras_[v]);
+            std::vector<uint32_t> subset;
+            {
+                ScopedSpan span("render.cull");
+                subset = frustumCull(model_, cameras_[v]);
+            }
             stats.gaussians_rendered += subset.size();
             stats.loss += renderAndBackprop(model_, v, subset, grads_);
             touched.insert(touched.end(), subset.begin(), subset.end());

@@ -179,6 +179,8 @@ class Trainer
     bool densify_enabled_ = false;
     int batches_done_ = 0;
     SnapshotSlot *snapshot_sink_ = nullptr;    //!< Non-owning.
+    /** Rows changed since the last publish (publishSnapshot scratch). */
+    std::vector<uint32_t> publish_rows_;
     ShardedSnapshotSlot *sharded_sink_ = nullptr;    //!< Non-owning.
 
     /** Render scratch reused across every view/step this trainer runs

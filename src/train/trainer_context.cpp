@@ -3,6 +3,7 @@
 #include <cstring>
 #include <limits>
 
+#include "obs/trace.hpp"
 #include "render/culling.hpp"
 #include "util/logging.hpp"
 
@@ -36,6 +37,7 @@ TrainerContext::rebuild()
 std::vector<uint32_t>
 TrainerContext::cullView(const Camera &camera) const
 {
+    ScopedSpan span("render.cull");
     return frustumCullPacked(critical_.data(), model_.size(), camera);
 }
 

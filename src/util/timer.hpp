@@ -25,8 +25,12 @@ class Timer
     /** Elapsed milliseconds since construction or the last reset(). */
     double millis() const { return seconds() * 1e3; }
 
-  private:
     using Clock = std::chrono::steady_clock;
+
+    /** When the stopwatch was constructed or last reset(). */
+    Clock::time_point started() const { return start_; }
+
+  private:
     Clock::time_point start_;
 };
 

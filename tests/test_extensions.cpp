@@ -340,6 +340,42 @@ TEST(ModelIo, RejectsGarbageFiles)
     std::remove(path.c_str());
 }
 
+TEST(ModelIo, RejectsCountTheFileCannotHold)
+{
+    // A valid 16-byte header whose count (2^36) no file body backs: the
+    // loader must throw before it allocates the model.
+    std::string path = "/tmp/clm_test_forged_count.bin";
+    const uint32_t version = 1;
+    uint64_t count = uint64_t(1) << 36;
+    std::FILE *file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    std::fwrite("CLMG", 1, 4, file);
+    std::fwrite(&version, sizeof(version), 1, file);
+    std::fwrite(&count, sizeof(count), 1, file);
+    std::fclose(file);
+    EXPECT_ANY_THROW(loadModel(path));
+
+    // One row short of the claimed count is rejected too; the exact
+    // count loads.
+    Rng rng(14);
+    saveModel(GaussianModel::random(3, {-1, -1, -1}, {1, 1, 1}, 0.1f, rng),
+              path);
+    file = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(file, nullptr);
+    count = 4;
+    std::fseek(file, 8, SEEK_SET);
+    std::fwrite(&count, sizeof(count), 1, file);
+    std::fclose(file);
+    EXPECT_ANY_THROW(loadModel(path));
+    file = std::fopen(path.c_str(), "r+b");
+    count = 3;
+    std::fseek(file, 8, SEEK_SET);
+    std::fwrite(&count, sizeof(count), 1, file);
+    std::fclose(file);
+    EXPECT_EQ(loadModel(path).size(), 3u);
+    std::remove(path.c_str());
+}
+
 TEST(ModelIo, PlyExportHasHeaderAndRows)
 {
     Rng rng(13);

@@ -218,6 +218,51 @@ TEST(CpuAdam, SubsetUpdateOnlyTouchesSubset)
     EXPECT_EQ(adam.stepCount(0), 0u);
 }
 
+TEST(CpuAdam, ChangedRowRecordListsUpdatedRowsOnce)
+{
+    GaussianModel m = randomModel(8, 30);
+    CpuAdam adam;
+    adam.reset(8);
+    GaussianGrads g = randomGrads(8, 31);
+    std::vector<uint32_t> rows{99};    // stale contents get replaced
+
+    // reset() leaves the record unknown: every row may have changed.
+    EXPECT_FALSE(adam.takeChangedRows(rows));
+    EXPECT_TRUE(rows.empty());
+
+    // Overlapping subsets: each updated row is listed exactly once, in
+    // first-update order.
+    adam.updateSubset(m, g, {5, 1});
+    adam.updateSubset(m, g, {1, 6, 5, 2});
+    ASSERT_TRUE(adam.takeChangedRows(rows));
+    EXPECT_EQ(rows, (std::vector<uint32_t>{5, 1, 6, 2}));
+
+    // Taking the record clears it.
+    EXPECT_TRUE(adam.takeChangedRows(rows));
+    EXPECT_TRUE(rows.empty());
+    adam.updateSubset(m, g, {1});
+    ASSERT_TRUE(adam.takeChangedRows(rows));
+    EXPECT_EQ(rows, (std::vector<uint32_t>{1}));
+
+    // update() marks every row (the record becomes unknown) and a
+    // following take starts a fresh, known record.
+    adam.updateSubset(m, g, {3});
+    adam.update(m, g);
+    EXPECT_FALSE(adam.takeChangedRows(rows));
+    EXPECT_TRUE(rows.empty());
+    adam.updateSubset(m, g, {3});
+    ASSERT_TRUE(adam.takeChangedRows(rows));
+    EXPECT_EQ(rows, (std::vector<uint32_t>{3}));
+
+    // reset() (densify) makes it unknown again, even mid-record.
+    adam.updateSubset(m, g, {4});
+    adam.reset(8);
+    EXPECT_FALSE(adam.takeChangedRows(rows));
+    adam.updateSubset(m, g, {4});
+    ASSERT_TRUE(adam.takeChangedRows(rows));
+    EXPECT_EQ(rows, (std::vector<uint32_t>{4}));
+}
+
 TEST(CpuAdam, EarlySubsetUpdateEqualsBatchEndUpdate)
 {
     // The §4.2.2 safety property: updating a finalized Gaussian early

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -32,6 +33,7 @@
 #include "serve/render_service.hpp"
 #include "serve/snapshot.hpp"
 #include "sim/stage_timings.hpp"
+#include "util/timer.hpp"
 
 namespace clm {
 namespace {
@@ -423,6 +425,28 @@ TEST_F(ObsTest, StageTimingsFeedTracerAndRegistry)
     EXPECT_EQ(reg.counter("train.stage.Scatter.calls").value(), 0u);
     EXPECT_DOUBLE_EQ(reg.gauge("train.stage.Compute.busy_s").value(), 0.25);
     EXPECT_DOUBLE_EQ(reg.gauge("train.batch_s").value(), 0.0);
+}
+
+TEST_F(ObsTest, StageSpanStartsAtTheStageStartNotAtTheRecordCall)
+{
+    // A stage recorded late (e.g. after waiting for the timings lock)
+    // keeps its span at [start, start + secs].
+    Tracer tracer;
+    Tracer::enable(&tracer);
+    Timer stage;
+    const uint64_t before_ns = tracer.nowNs();
+    const double secs = 0.001;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    StageTimings timings;
+    timings.add(TrainStage::Schedule, secs, stage.started());
+    Tracer::enable(nullptr);
+
+    auto spans = tracer.snapshotSpans();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_STREQ(spans[0].name, "train.schedule");
+    EXPECT_LE(spans[0].t0_ns, before_ns);
+    EXPECT_EQ(spans[0].t1_ns - spans[0].t0_ns, 1000000u);
+    EXPECT_DOUBLE_EQ(timings[TrainStage::Schedule], secs);
 }
 
 // --------------------------------------------------------------------------

@@ -335,6 +335,126 @@ TEST(SnapshotSlot, ReusesRetiredBuffersWhenUnreferenced)
     EXPECT_EQ(slot.acquire()->version, 4u);
 }
 
+/** Perturb row @p i in every attribute. */
+void
+perturbRow(GaussianModel &m, uint32_t i, Rng &rng)
+{
+    m.position(i).x += rng.normal();
+    m.position(i).z += rng.normal();
+    m.logScale(i).y += 0.1f * rng.normal();
+    m.rotation(i).w += 0.1f * rng.normal();
+    m.sh(i)[rng.uniformInt(0, kShDim - 1)] += rng.normal();
+    m.rawOpacity(i) += rng.normal();
+}
+
+/** @p k distinct random rows of an @p n-row model. */
+std::vector<uint32_t>
+randomRows(size_t n, size_t k, Rng &rng)
+{
+    std::vector<uint32_t> all(n);
+    for (size_t i = 0; i < n; ++i)
+        all[i] = static_cast<uint32_t>(i);
+    for (size_t i = 0; i < k; ++i)
+        std::swap(all[i], all[i + static_cast<size_t>(rng.uniformInt(
+                                      0, static_cast<int64_t>(n - i) - 1))]);
+    all.resize(k);
+    return all;
+}
+
+/**
+ * Incremental publishing: only the rows changed since the last publish
+ * are passed, yet after every publish the snapshot is bitwise the
+ * source model and its hash is the full-model oracle's — across a
+ * reader pinning the spare (fresh buffer), size changes, a publish
+ * with no changed set, and empty, duplicated and repeated changed sets.
+ */
+TEST(SnapshotSlot, IncrementalPublishMatchesModelBitwise)
+{
+    BatchFixture fix(500);
+    GaussianModel work = fix.model;
+    SnapshotSlot slot;
+    Rng rng(77);
+    std::shared_ptr<const ModelSnapshot> pinned;
+    GaussianModel pinned_model;
+    std::vector<const ModelSnapshot *> buffers;
+    std::vector<uint32_t> changed;
+
+    for (int step = 0; step < 14; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const size_t k = step == 5 || step == 8
+                             ? 0
+                             : static_cast<size_t>(rng.uniformInt(1, 60));
+        // Steps 12 and 13 change the same rows again, as a training
+        // batch over the same views does.
+        if (step < 12)
+            changed = randomRows(work.size(), k, rng);
+        for (uint32_t i : changed)
+            perturbRow(work, i, rng);
+        if (step == 10)
+            changed.push_back(changed.front());    // duplicates allowed
+        const std::vector<uint32_t> *arg = step == 0 ? nullptr : &changed;
+        if (step == 6) {
+            // Size change: the listed rows no longer describe the
+            // difference, so the slot must copy and hash everything.
+            work.append(work.position(1), work.logScale(1),
+                        work.rotation(1), work.sh(1), 0.5f);
+            work.removeRows({3, 17});
+        } else if (step == 9) {
+            perturbRow(work, 0, rng);    // unlisted: no set passed
+            arg = nullptr;
+        } else if (step == 2) {
+            // Pin the current snapshot: it is the spare at step 3's
+            // publish, which must then fill a fresh buffer.
+            pinned = slot.acquire();
+            pinned_model = pinned->model;
+        }
+        slot.publish(work, step, arg);
+
+        auto snap = slot.acquire();
+        ASSERT_NE(snap, nullptr);
+        EXPECT_EQ(snap->version, static_cast<uint64_t>(step + 1));
+        EXPECT_EQ(snap->train_step, step);
+        EXPECT_TRUE(snap->model.bitwiseEquals(work));
+        EXPECT_EQ(snap->param_hash, hashModelParams(work));
+        // Double buffering: every publish but the pinned one refills
+        // the buffer retired two publishes earlier.
+        buffers.push_back(snap.get());
+        if (step >= 2 && step != 3) {
+            EXPECT_EQ(snap.get(), buffers[step - 2]);
+        }
+        if (step == 3 || step == 4) {
+            EXPECT_NE(snap.get(), pinned.get());
+            // The pinned reader's snapshot is never written to.
+            EXPECT_TRUE(pinned->model.bitwiseEquals(pinned_model));
+        }
+        if (step == 4)
+            pinned.reset();
+    }
+}
+
+/** A change confined to one row changes the hash; the hash is a pure
+ *  function of the parameters (equal models hash equal). */
+TEST(SnapshotSlot, HashSeesEverySingleRowChange)
+{
+    BatchFixture fix(64);
+    const uint64_t h0 = hashModelParams(fix.model);
+    EXPECT_EQ(hashModelParams(GaussianModel(fix.model)), h0);
+    Rng rng(5);
+    for (uint32_t i = 0; i < fix.model.size(); ++i) {
+        GaussianModel m = fix.model;
+        perturbRow(m, i, rng);
+        EXPECT_NE(hashModelParams(m), h0) << "row " << i;
+    }
+    // Swapping two rows moves data between index seeds.
+    GaussianModel swapped = fix.model;
+    std::swap(swapped.position(0), swapped.position(1));
+    EXPECT_NE(hashModelParams(swapped), h0);
+    // Same rows, different count.
+    GaussianModel shorter = fix.model;
+    shorter.removeRows({static_cast<uint32_t>(shorter.size() - 1)});
+    EXPECT_NE(hashModelParams(shorter), h0);
+}
+
 TEST(RenderService, ServesFramesIdenticalToDirectRenders)
 {
     BatchFixture fix(800);
@@ -414,18 +534,31 @@ TEST(RenderService, SnapshotSwapUnderLoadIsRaceFree)
     std::map<uint64_t, GaussianModel> published;
     std::map<uint64_t, uint64_t> published_hash;
     GaussianModel work = fix.model;
+    // The publisher passes each step's changed rows, as the trainer
+    // does, so most publishes copy and rehash only those rows.
+    bool all_published_exact = true;
     auto publish_next = [&](int step) {
         Rng rng(1000 + step);
+        std::vector<uint32_t> changed;
+        std::vector<uint8_t> listed(work.size(), 0);
         for (int k = 0; k < 50; ++k) {
-            size_t i = static_cast<size_t>(
+            uint32_t i = static_cast<uint32_t>(
                 rng.uniformInt(0, static_cast<int64_t>(work.size()) - 1));
             work.position(i).x += 0.01f * static_cast<float>(step % 7);
             work.rawOpacity(i) += 0.01f;
+            if (!listed[i]) {
+                listed[i] = 1;
+                changed.push_back(i);
+            }
         }
-        slot.publish(work, step);
+        slot.publish(work, step, step == 0 ? nullptr : &changed);
         const uint64_t v = slot.version();
         published.emplace(v, work);
         published_hash[v] = hashModelParams(work);
+        auto snap = slot.acquire();
+        all_published_exact = all_published_exact
+                              && snap->model.bitwiseEquals(work)
+                              && snap->param_hash == published_hash[v];
     };
     publish_next(0);
 
@@ -464,6 +597,8 @@ TEST(RenderService, SnapshotSwapUnderLoadIsRaceFree)
     stop_publishing = true;
     publisher.join();
     service.stop();
+
+    EXPECT_TRUE(all_published_exact);
 
     // Verify every served frame against the recorded publish of its
     // claimed version.

@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 
 #include "core/clm.hpp"
+#include "serve/snapshot.hpp"
 #include "train/clm_trainer.hpp"
 #include "train/naive_offload_trainer.hpp"
 #include "train/quality_harness.hpp"
@@ -161,6 +164,96 @@ TEST(ClmTrainerAccounting, AdamUpdatesEveryTouchedGaussianOnce)
     BatchStats s = t.trainBatch(ids);
     EXPECT_EQ(s.adam_updated, t.lastPlan().fin.touched());
 }
+
+struct PublishCase
+{
+    SystemKind system;
+    bool async_adam;
+};
+
+class SnapshotPublish : public ::testing::TestWithParam<PublishCase>
+{
+};
+
+/**
+ * The trainer publishes only the rows Adam changed since the last
+ * publish; every published snapshot must still be bitwise the trainer's
+ * model, with the full-model hash — across densification (size change)
+ * and a reader pinning the spare buffer.
+ */
+TEST_P(SnapshotPublish, EverySnapshotIsBitwiseTheModel)
+{
+    Fixture f;
+    f.config.async_adam = GetParam().async_adam;
+    auto trainer = makeTrainer(GetParam().system, f.trainee(300),
+                               f.cameras, f.gt_images, f.config);
+    DensifyConfig dc;
+    dc.grad_threshold = 1e-7f;    // aggressive: densify must resize
+    trainer->enableDensification(dc);
+    SnapshotSlot slot;
+    trainer->setSnapshotSink(&slot);
+
+    auto expectPublished = [&](const char *when, int step) {
+        SCOPED_TRACE(std::string(when) + " step " + std::to_string(step));
+        auto snap = slot.acquire();
+        ASSERT_NE(snap, nullptr);
+        EXPECT_TRUE(snap->model.bitwiseEquals(trainer->model()));
+        EXPECT_EQ(snap->param_hash, hashModelParams(trainer->model()));
+    };
+    expectPublished("attach", 0);
+
+    std::shared_ptr<const ModelSnapshot> pinned;
+    const size_t size0 = trainer->model().size();
+    for (int step = 0; step < 10; ++step) {
+        if (step == 2)
+            pinned = slot.acquire();    // the spare at step 3's publish
+        if (step == 7)
+            pinned.reset();
+        trainer->trainSteps(1);
+        expectPublished("train", step);
+        if (step == 5) {
+            trainer->densifyNow();
+            expectPublished("densify", step);
+        }
+    }
+    EXPECT_NE(trainer->model().size(), size0);
+}
+
+/** A slot fed by another source has nothing to do with the rows this
+ *  trainer changed since its own last publish: attaching to it must
+ *  republish every row. */
+TEST(SnapshotPublishSinks, AttachingToAnotherSlotRepublishesEveryRow)
+{
+    Fixture f;
+    ClmTrainer a(f.trainee(300), f.cameras, f.gt_images, f.config);
+    GpuOnlyTrainer b(f.trainee(300), f.cameras, f.gt_images, f.config);
+    SnapshotSlot slot_a, slot_b;
+    a.setSnapshotSink(&slot_a);
+    b.setSnapshotSink(&slot_b);
+    a.trainSteps(2);
+    b.trainSteps(3);
+    ASSERT_FALSE(a.model().bitwiseEquals(b.model()));
+
+    a.setSnapshotSink(&slot_b);
+    EXPECT_TRUE(slot_b.acquire()->model.bitwiseEquals(a.model()));
+    a.trainSteps(1);
+    EXPECT_TRUE(slot_b.acquire()->model.bitwiseEquals(a.model()));
+    EXPECT_EQ(slot_b.acquire()->param_hash, hashModelParams(a.model()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Trainers, SnapshotPublish,
+    ::testing::Values(PublishCase{SystemKind::Clm, false},
+                      PublishCase{SystemKind::Clm, true},
+                      PublishCase{SystemKind::EnhancedBaseline, false},
+                      PublishCase{SystemKind::NaiveOffload, false}),
+    [](const ::testing::TestParamInfo<PublishCase> &info) {
+        std::string name = systemName(info.param.system);
+        name.erase(std::remove_if(name.begin(), name.end(),
+                                  [](char c) { return !std::isalnum(c); }),
+                   name.end());
+        return name + (info.param.async_adam ? "Async" : "");
+    });
 
 TEST(Training, LossDecreasesOverSteps)
 {

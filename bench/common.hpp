@@ -15,8 +15,10 @@
 #define CLM_BENCH_COMMON_HPP
 
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "math/rng.hpp"
@@ -149,20 +151,49 @@ fmtMillions(double n, int digits = 1)
 }
 
 /**
+ * The host a bench ran on: the CPU model name (from /proc/cpuinfo,
+ * "unknown" where it has none) and the logical CPU count, e.g.
+ * "AMD EPYC 7B13 x4". Part of the context key, so a record made on one
+ * machine never baselines a run on another.
+ */
+inline std::string
+hostName()
+{
+    std::string model = "unknown";
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    for (std::string line; std::getline(cpuinfo, line);) {
+        const size_t colon = line.find(':');
+        if (line.rfind("model name", 0) != 0 || colon == std::string::npos)
+            continue;
+        const size_t begin = line.find_first_not_of(" \t", colon + 1);
+        if (begin != std::string::npos)
+            model = line.substr(begin);
+        break;
+    }
+    // Keep the name a plain JSON string.
+    for (char &c : model)
+        if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20)
+            c = ' ';
+    return model + " x"
+         + std::to_string(std::thread::hardware_concurrency());
+}
+
+/**
  * Machine/build context block for BENCH_*.json files, so recorded perf
- * points are comparable across runs: worker-thread count (and whether
- * CLM_THREADS pinned it), compiler, the compile-time SIMD baseline
- * (`"simd"`), the runtime-dispatched kernel backend actually executing
- * (`"simd_dispatch"` — CPUID choice, or the CLM_SIMD override), and
- * whether the build disabled SIMD (-DCLM_DISABLE_SIMD=ON). Emitted as a
- * `"context": {...},` line inside the top-level JSON object.
+ * points are comparable across runs: the host (hostName()), worker-
+ * thread count (and whether CLM_THREADS pinned it), compiler, the
+ * compile-time SIMD baseline (`"simd"`) and the runtime-dispatched
+ * kernel backend actually executing (`"simd_dispatch"` — CPUID choice,
+ * or the CLM_SIMD override). Emitted as a `"context": {...},` line
+ * inside the top-level JSON object.
  */
 inline void
 writeJsonContext(std::ostream &f)
 {
     const char *env_threads = std::getenv("CLM_THREADS");
-    f << "  \"context\": {\"threads\": "
-      << ThreadPool::global().threads() << ", \"clm_threads_env\": ";
+    f << "  \"context\": {\"host\": \"" << hostName()
+      << "\", \"threads\": " << ThreadPool::global().threads()
+      << ", \"clm_threads_env\": ";
     if (env_threads)
         f << "\"" << env_threads << "\"";
     else
@@ -176,8 +207,7 @@ writeJsonContext(std::ostream &f)
       << "unknown"
 #endif
       << "\", \"simd\": \"" << simdIsaName() << "\", \"simd_dispatch\": \""
-      << simdDispatchName() << "\", \"simd_disabled\": "
-      << (kSimdDisabled ? "true" : "false") << ", \"build\": \""
+      << simdDispatchName() << "\", \"build\": \""
 #ifdef NDEBUG
       << "release"
 #else

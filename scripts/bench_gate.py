@@ -10,9 +10,10 @@ it (so a run is never its own baseline). A record is one JSON line:
      "metrics": {"small.b4.rps": 320.8, ...}, "slo_breached": false}
 
 Context matching: runs only compare against history from the same
-machine shape — the context_key hashes the bench name, smoke flag and
-the BENCH context block (threads, compiler, simd dispatch, build
-type). A fresh machine (or a compiler upgrade) therefore starts with
+machine — the context_key hashes the bench name, smoke flag and the
+BENCH context block (host CPU model and logical CPU count, threads,
+compiler, simd dispatch, build type). A fresh machine (or a compiler
+upgrade) therefore starts with
 "no_baseline" — the gate passes and seeds history instead of
 comparing apples to oranges.
 
@@ -54,12 +55,12 @@ import time
 # context keying
 
 CONTEXT_FIELDS = (
+    "host",
     "threads",
     "clm_threads_env",
     "compiler",
     "simd",
     "simd_dispatch",
-    "simd_disabled",
     "build",
 )
 

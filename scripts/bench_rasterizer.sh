@@ -3,9 +3,10 @@
 # BENCH_rasterizer.json in the repo root so the perf trajectory of the
 # render hot path is tracked across PRs.
 #
-# The JSON includes a machine/build context block (thread count,
-# compiler, SIMD backend, CLM_DISABLE_SIMD), so recorded points are
-# comparable across runs; pin the worker count with CLM_THREADS=N.
+# The JSON includes a machine/build context block (host CPU model and
+# logical CPU count, thread count, compiler, SIMD backend), so recorded
+# points are comparable across runs; pin the worker count with
+# CLM_THREADS=N.
 #
 # Uses a dedicated build-release/ tree so it never flips the cached
 # build type of the default build/ directory that verify.sh uses.

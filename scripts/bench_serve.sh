@@ -6,11 +6,12 @@
 # multi-view pipeline serves the larger batches and its frames are
 # verified bit-identical to sequential renders before timing).
 #
-# The JSON includes the machine/build context block (thread count,
-# compiler, SIMD backend, CLM_DISABLE_SIMD). Worker threads default to
-# CLM_THREADS=1 so recorded points are single-core-comparable across
-# runs (the batching speedup is an algorithmic-sharing win, not a
-# parallelism win); export CLM_THREADS to override.
+# The JSON includes the machine/build context block (host CPU model
+# and logical CPU count, thread count, compiler, SIMD backend). Worker
+# threads default to CLM_THREADS=1 so recorded points are
+# single-core-comparable across runs (the batching speedup is an
+# algorithmic-sharing win, not a parallelism win); export CLM_THREADS
+# to override.
 #
 # Uses the shared build-release/ tree so it never flips the cached
 # build type of the default build/ directory that verify.sh uses.

@@ -6,10 +6,10 @@
 # router pruned and a bitwise-identity flag (sharded frames are verified
 # hash-identical to unsharded renderForward before timing).
 #
-# The JSON includes the machine/build context block (thread count,
-# compiler, SIMD backend, CLM_DISABLE_SIMD). Worker threads default to
-# CLM_THREADS=1 so recorded points are single-core-comparable across
-# runs; export CLM_THREADS to override.
+# The JSON includes the machine/build context block (host CPU model
+# and logical CPU count, thread count, compiler, SIMD backend). Worker
+# threads default to CLM_THREADS=1 so recorded points are
+# single-core-comparable across runs; export CLM_THREADS to override.
 #
 # Uses the shared build-release/ tree so it never flips the cached
 # build type of the default build/ directory that verify.sh uses.

@@ -9,9 +9,9 @@
 # with forward/backward_bitwise_identical flags from hashing the image
 # and all gradient buffers across backends).
 #
-# The JSON includes a machine/build context block (thread count,
-# compiler, build-baseline "simd" ISA, runtime-dispatched
-# "simd_dispatch" backend, CLM_DISABLE_SIMD); pin the worker count with
+# The JSON includes a machine/build context block (host CPU model and
+# logical CPU count, thread count, compiler, build-baseline "simd" ISA,
+# runtime-dispatched "simd_dispatch" backend); pin the worker count with
 # CLM_THREADS=N for comparable runs, and force the dispatched backend
 # with CLM_SIMD=avx2|sse2|neon|scalar.
 #

@@ -1,6 +1,7 @@
 #include "gaussian/io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -100,6 +101,11 @@ loadModel(const std::string &path)
     for (size_t i = 0; i < count; ++i) {
         readBytes(f.get(), row.data(),
                   kParamsPerGaussian * sizeof(float));
+        for (float v : row)
+            if (!std::isfinite(v))
+                CLM_FATAL(path, ": Gaussian ", i,
+                          " holds a non-finite parameter (corrupt "
+                          "checkpoint)");
         model.unpackCritical(i, row.data());
         model.unpackNonCritical(i, row.data() + kCriticalDim);
     }

@@ -40,10 +40,6 @@ simdIsaName()
 bool
 simdBackendSupported(SimdBackend backend)
 {
-#ifdef CLM_DISABLE_SIMD
-    // Scalar reference build: only the scalar table is compiled in.
-    return backend == SimdBackend::kScalar;
-#else
     switch (backend) {
     case SimdBackend::kScalar:
         return true;
@@ -72,7 +68,6 @@ simdBackendSupported(SimdBackend backend)
 #endif
     }
     return false;
-#endif
 }
 
 SimdBackend

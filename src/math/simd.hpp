@@ -21,10 +21,6 @@
  * with different backends can coexist in one binary without ODR
  * violations while plain `clm::F8` keeps working everywhere.
  *
- * Building with `-DCLM_DISABLE_SIMD=ON` forces the scalar fallback AND
- * flips the default of RenderConfig::use_simd to false, so the whole
- * binary reproduces the pre-SIMD scalar reference bit for bit.
- *
  * Every backend performs the *same* IEEE-754 single-precision operation
  * sequence — no FMA contraction, division is the correctly-rounded IEEE
  * quotient everywhere, and min/max follow the SSE convention
@@ -59,12 +55,11 @@
 #define CLM_SIMD_ISA_NEON 1
 #elif defined(CLM_F8_FORCE_SCALAR)
 #define CLM_SIMD_ISA_SCALAR 1
-#elif !defined(CLM_DISABLE_SIMD) && defined(__AVX2__)
+#elif defined(__AVX2__)
 #define CLM_SIMD_ISA_AVX2 1
-#elif !defined(CLM_DISABLE_SIMD) && defined(__SSE2__)
+#elif defined(__SSE2__)
 #define CLM_SIMD_ISA_SSE2 1
-#elif !defined(CLM_DISABLE_SIMD) && defined(__aarch64__) \
-    && defined(__ARM_NEON)
+#elif defined(__aarch64__) && defined(__ARM_NEON)
 #define CLM_SIMD_ISA_NEON 1
 #else
 #define CLM_SIMD_ISA_SCALAR 1

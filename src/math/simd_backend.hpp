@@ -15,24 +15,16 @@
  * pick. Because every F8 backend runs the same IEEE op sequence,
  * switching backends never changes a single output bit, only speed;
  * CI runs the full test suite under forced CLM_SIMD=sse2/scalar to
- * hold that guarantee.
- *
- * -DCLM_DISABLE_SIMD=ON builds compile only the scalar table (and flip
- * RenderConfig::use_simd's default to false), reproducing the pre-SIMD
- * scalar reference bit for bit.
+ * hold that guarantee. The scalar table is compiled into every build
+ * and is the scalar reference: forcing it (CLM_SIMD=scalar, or
+ * RenderConfig::kernels = renderKernelsFor(SimdBackend::kScalar))
+ * runs the same op sequence one lane at a time.
  */
 
 #ifndef CLM_MATH_SIMD_BACKEND_HPP
 #define CLM_MATH_SIMD_BACKEND_HPP
 
 namespace clm {
-
-/** True when built with -DCLM_DISABLE_SIMD=ON (scalar reference build). */
-#ifdef CLM_DISABLE_SIMD
-constexpr bool kSimdDisabled = true;
-#else
-constexpr bool kSimdDisabled = false;
-#endif
 
 /** The F8 implementations a binary can dispatch between. */
 enum class SimdBackend
@@ -51,7 +43,7 @@ const char *simdBackendName(SimdBackend backend);
 
 /** Compile-time baseline backend name of F8 in ordinary (non-kernel)
  *  translation units: "avx2", "sse2", "neon" or "scalar". This is what
- *  the compiler flags picked (-march=native, -DCLM_DISABLE_SIMD), NOT
+ *  the compiler flags picked (-march=native), NOT
  *  the runtime dispatch choice — see simdDispatchName(). */
 const char *simdIsaName();
 

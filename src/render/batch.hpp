@@ -26,8 +26,8 @@
  *    renderForward over each view's carved ranges, so every view's
  *    RenderOutput (image, final_t, n_contrib, intersections, ranges) is
  *    bitwise identical to a sequential renderForward call with the same
- *    subset — asserted by tests/test_serve.cpp in both the SIMD and
- *    -DCLM_DISABLE_SIMD=ON flavors.
+ *    subset — asserted by tests/test_serve.cpp under the dispatched
+ *    and the forced-scalar kernel tables.
  *
  * The fused pass is what makes batched serving (serve/render_service)
  * faster than view-at-a-time serving on one core: the shared

@@ -25,16 +25,15 @@ namespace detail {
 /**
  * Composite the tiles [@p t0, @p t1) of @p out's tile grid: stage each
  * tile's Gaussians from @p out (projected footprints + sorted
- * intersections + per-entry cuts), then run the SIMD or scalar reference
- * compositor per RenderConfig::use_simd. Empty tiles write the
- * background directly. Tiles touch disjoint pixels, so any parallel
+ * intersections + per-entry cuts), then run the kernel table's
+ * compositor (RenderConfig::kernels, or the dispatched table). Empty
+ * tiles write the background directly. Tiles touch disjoint pixels, so any parallel
  * split over tile ranges produces identical results; @p stage is the
  * calling worker's private staging scratch.
  *
- * @p stage_soa additionally fills the stage's SoA mirrors for tiles the
- * backward replay would SIMD-batch (cfg.use_simd and the staged-entry
- * bound) — the retained-staging mode of renderForwardBatch, which lets
- * renderBackwardBatch replay each tile without re-staging it. Staging
+ * @p stage_soa additionally fills the stage's SoA mirrors the backward
+ * replay reads — the retained-staging mode of renderForwardBatch, which
+ * lets renderBackwardBatch replay each tile without re-staging it. Staging
  * is pure data movement, so the composited pixels are unchanged.
  */
 void compositeTileRange(const RenderConfig &cfg, const TileGrid &grid,

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -54,102 +53,44 @@ reduceLanes(const float *g8)
     return g;
 }
 
-/**
- * Scalar-reference backward replay of one tile (the pre-SIMD path,
- * kept verbatim behind RenderConfig::use_simd == false and for
- * -DCLM_DISABLE_SIMD=ON builds): per-pixel back-to-front replay with
- * std::exp, accumulating into stage.grads.
- */
+/** Replay tile @p t of @p fwd through @p kern's backward kernel from
+ *  @p stage's SoA mirrors, accumulating into the zeroed 8-lane
+ *  partials @p grad8 — the one replay call renderBackward and
+ *  renderBackwardBatch share. */
 void
-backwardTileScalar(TileStage &stage, const RenderOutput &fwd,
-                   const Image &d_image, int px0, int px1, int py0,
-                   int py1, int w, float alpha_min,
-                   const Vec3 &background)
+replayTile(const RenderKernels &kern, const RenderConfig &cfg,
+           const TileStage &stage, const RenderOutput &fwd,
+           const Image &d_image, size_t t, float *grad8)
 {
-    const StagedGaussian *hot = stage.hot.data();
-    const Vec3 *colors = stage.color.data();
-    for (int py = py0; py < py1; ++py) {
-        const float pcy = py + 0.5f;
-        for (int px = px0; px < px1; ++px) {
-            size_t pi = static_cast<size_t>(py) * w + px;
-            uint32_t n_contrib = fwd.n_contrib[pi];
-            if (n_contrib == 0)
-                continue;
-            const float pcx = px + 0.5f;
-            Vec3 dpix = d_image.pixel(px, py);
-            float bg_dot = background.dot(dpix);
-
-            // Replay back-to-front over the composited prefix.
-            float t_acc = fwd.final_t[pi];
-            float last_alpha = 0.0f;
-            Vec3 last_color{0, 0, 0};
-            Vec3 accum_rec{0, 0, 0};
-            for (size_t pos = n_contrib; pos-- > 0;) {
-                const StagedGaussian e = hot[pos];
-                float dx = e.mean_x - pcx;
-                float dy = e.mean_y - pcy;
-                // No pixel of this row reaches the cut.
-                if (-0.5f * e.row_k * dy * dy + kRowCutMargin
-                    < e.power_cut)
-                    continue;
-                float power = -0.5f * (e.conic_a * dx * dx
-                                       + e.conic_c * dy * dy)
-                            - e.conic_b * dx * dy;
-                if (power > 0.0f)
-                    continue;
-                if (power < e.power_cut)
-                    continue;    // alpha < alpha_min
-                float gval = std::exp(power);
-                float raw_alpha = e.opacity * gval;
-                bool clamped = raw_alpha > 0.99f;
-                float alpha = clamped ? 0.99f : raw_alpha;
-                if (alpha < alpha_min)
-                    continue;
-
-                // Transmittance in front of this Gaussian.
-                t_acc = t_acc / (1.0f - alpha);
-                float dchannel_dcolor = alpha * t_acc;
-
-                float dl_dalpha = 0.0f;
-                // c - (color accumulated behind this Gaussian).
-                accum_rec = last_color * last_alpha
-                          + accum_rec * (1.0f - last_alpha);
-                last_color = colors[pos];
-                dl_dalpha +=
-                    (colors[pos].x - accum_rec.x) * dpix.x;
-                dl_dalpha +=
-                    (colors[pos].y - accum_rec.y) * dpix.y;
-                dl_dalpha +=
-                    (colors[pos].z - accum_rec.z) * dpix.z;
-
-                ProjectionGrads &g = stage.grads[pos];
-                g.d_color += dpix * dchannel_dcolor;
-
-                dl_dalpha *= t_acc;
-                last_alpha = alpha;
-
-                // Background shows through less when alpha grows.
-                dl_dalpha +=
-                    (-fwd.final_t[pi] / (1.0f - alpha)) * bg_dot;
-
-                if (clamped)
-                    continue;    // min(0.99, .) sub-gradient = 0
-
-                float dl_dg = e.opacity * dl_dalpha;
-                g.d_opacity += gval * dl_dalpha;
-
-                // G = exp(power(d)), d = mean - pix.
-                float gdl = gval * dl_dg;
-                g.d_mean2d.x += gdl * (-e.conic_a * dx
-                                       - e.conic_b * dy);
-                g.d_mean2d.y += gdl * (-e.conic_c * dy
-                                       - e.conic_b * dx);
-                g.d_conic_a += gdl * (-0.5f * dx * dx);
-                g.d_conic_b += gdl * (-dx * dy);
-                g.d_conic_c += gdl * (-0.5f * dy * dy);
-            }
-        }
-    }
+    const int w = d_image.width();
+    const int h = d_image.height();
+    const int ty = static_cast<int>(t) / fwd.tiles_x;
+    const int tx = static_cast<int>(t) % fwd.tiles_x;
+    BackwardTileArgs args;
+    args.mean_x = stage.soa_mean_x.data();
+    args.mean_y = stage.soa_mean_y.data();
+    args.conic_a = stage.soa_conic_a.data();
+    args.conic_b = stage.soa_conic_b.data();
+    args.conic_c = stage.soa_conic_c.data();
+    args.power_cut = stage.soa_power_cut.data();
+    args.row_k = stage.soa_row_k.data();
+    args.opacity = stage.soa_opacity.data();
+    args.color_r = stage.soa_color_r.data();
+    args.color_g = stage.soa_color_g.data();
+    args.color_b = stage.soa_color_b.data();
+    args.len = fwd.tile_ranges[t].size();
+    args.px0 = tx * cfg.tile_size;
+    args.px1 = std::min(args.px0 + cfg.tile_size, w);
+    args.py0 = ty * cfg.tile_size;
+    args.py1 = std::min(args.py0 + cfg.tile_size, h);
+    args.width = w;
+    args.alpha_min = cfg.alpha_min;
+    args.background = cfg.background;
+    args.final_t = fwd.final_t.data();
+    args.n_contrib = fwd.n_contrib.data();
+    args.d_image = d_image.data().data();
+    args.grad8 = grad8;
+    kern.backward_tile(args);
 }
 
 } // namespace
@@ -175,8 +116,6 @@ renderBackward(const GaussianModel &model, const Camera &camera,
                    && d_image.height() == camera.height(),
                "d_image size mismatch");
 
-    const int w = camera.width();
-    const int h = camera.height();
     const size_t n = fwd.projected.size();
     const size_t n_tiles = fwd.tile_ranges.size();
 
@@ -206,8 +145,6 @@ renderBackward(const GaussianModel &model, const Camera &camera,
         arena.cuts_alpha_min = cfg.alpha_min;
     }
 
-    const float alpha_min = cfg.alpha_min;
-    const Vec3 background = cfg.background;
     // Runtime-dispatched per-ISA kernel table (or the table cfg.kernels
     // forces). Must agree with the forward pass's table choice only in
     // spirit: every table runs the same IEEE op sequence, so the replay
@@ -227,75 +164,27 @@ renderBackward(const GaussianModel &model, const Camera &camera,
                 continue;
             // Stage the tile's hot fields so the replay streams
             // sequentially through memory. Shared with the forward pass
-            // so the two stagings cannot desync. The SIMD kernel reads
-            // the SoA mirrors and accumulates into grad8; the scalar
-            // reference path accumulates into stage.grads instead.
-            const bool simd_batch =
-                cfg.use_simd && len < kSimdMaxStagedEntries;
+            // so the two stagings cannot desync.
             stage.stageFrom(fwd.projected, fwd.isect_vals, range,
                             arena.alpha_cut, arena.row_k,
-                            /*for_backward=*/!simd_batch,
-                            /*stage_soa=*/simd_batch);
+                            /*stage_soa=*/true);
 
-            const int ty = static_cast<int>(t) / fwd.tiles_x;
-            const int tx = static_cast<int>(t) % fwd.tiles_x;
-            const int px0 = tx * cfg.tile_size;
-            const int py0 = ty * cfg.tile_size;
-            const int px1 = std::min(px0 + cfg.tile_size, w);
-            const int py1 = std::min(py0 + cfg.tile_size, h);
+            // 8-pixel-lane replay: per-entry 8-lane gradient partials,
+            // then the deterministic lane reduction.
+            stage.grad8.resize(len * static_cast<size_t>(kG8Comps) * 8);
+            std::memset(stage.grad8.data(), 0,
+                        stage.grad8.size() * sizeof(float));
+            replayTile(kern, cfg, stage, fwd, d_image, t,
+                       stage.grad8.data());
 
-            if (simd_batch) {
-                // 8-pixel-lane SIMD replay: per-entry 8-lane gradient
-                // partials, then the deterministic lane reduction.
-                stage.grad8.resize(len
-                                   * static_cast<size_t>(kG8Comps) * 8);
-                std::memset(stage.grad8.data(), 0,
-                            stage.grad8.size() * sizeof(float));
-                BackwardTileArgs args;
-                args.mean_x = stage.soa_mean_x.data();
-                args.mean_y = stage.soa_mean_y.data();
-                args.conic_a = stage.soa_conic_a.data();
-                args.conic_b = stage.soa_conic_b.data();
-                args.conic_c = stage.soa_conic_c.data();
-                args.power_cut = stage.soa_power_cut.data();
-                args.row_k = stage.soa_row_k.data();
-                args.opacity = stage.soa_opacity.data();
-                args.color_r = stage.soa_color_r.data();
-                args.color_g = stage.soa_color_g.data();
-                args.color_b = stage.soa_color_b.data();
-                args.len = len;
-                args.px0 = px0;
-                args.px1 = px1;
-                args.py0 = py0;
-                args.py1 = py1;
-                args.width = w;
-                args.alpha_min = alpha_min;
-                args.background = background;
-                args.final_t = fwd.final_t.data();
-                args.n_contrib = fwd.n_contrib.data();
-                args.d_image = d_image.data().data();
-                args.grad8 = stage.grad8.data();
-                kern.backward_tile(args);
-
-                // Flush: reduce each staged entry's 8 lanes in fixed
-                // lane order, then accumulate in staged order into
-                // this chunk's per-subset array.
-                for (size_t j = 0; j < len; ++j)
-                    accumulate(
-                        acc[fwd.isect_vals[range.begin + j]],
-                        reduceLanes(stage.grad8.data()
-                                    + j * static_cast<size_t>(kG8Comps)
-                                          * 8));
-            } else {
-                backwardTileScalar(stage, fwd, d_image, px0, px1, py0,
-                                   py1, w, alpha_min, background);
-
-                // Flush the tile-local accumulators into this chunk's
-                // per-subset array (one entry per Gaussian per tile).
-                for (size_t j = 0; j < len; ++j)
-                    accumulate(acc[fwd.isect_vals[range.begin + j]],
-                               stage.grads[j]);
-            }
+            // Flush: reduce each staged entry's 8 lanes in fixed lane
+            // order, then accumulate in staged order into this chunk's
+            // per-subset array.
+            for (size_t j = 0; j < len; ++j)
+                accumulate(acc[fwd.isect_vals[range.begin + j]],
+                           reduceLanes(stage.grad8.data()
+                                       + j * static_cast<size_t>(kG8Comps)
+                                             * 8));
         }
     };
 
@@ -344,8 +233,6 @@ renderBackwardBatch(const GaussianModel &model,
     CLM_ASSERT(out.size() == model.size(),
                "gradient buffer must cover the full model");
 
-    const float alpha_min = cfg.alpha_min;
-    const Vec3 background = cfg.background;
     const RenderKernels &kern =
         cfg.kernels ? *cfg.kernels : renderKernels();
     const size_t threads = ThreadPool::global().threads();
@@ -411,8 +298,6 @@ renderBackwardBatch(const GaussianModel &model,
         RenderArena &av = ba.views[task.view];
         const RenderOutput &fwd = av.out;
         const Image &d_image = d_images[task.view];
-        const int w = cameras[task.view].width();
-        const int h = cameras[task.view].height();
         std::vector<ProjectionGrads> &acc = av.grad_partials[task.chunk];
         acc.assign(fwd.projected.size(), ProjectionGrads{});
         std::vector<float> &g8 = ba.grad8_scratch[ti];
@@ -421,80 +306,31 @@ renderBackwardBatch(const GaussianModel &model,
             const size_t len = range.size();
             if (len == 0)
                 continue;
-            const bool simd_batch =
-                cfg.use_simd && len < kSimdMaxStagedEntries;
             TileStage &stage =
                 av.stages[ba.retain_staging ? t : task.chunk];
-            if (!ba.retain_staging) {
+            if (!ba.retain_staging)
                 stage.stageFrom(fwd.projected, fwd.isect_vals, range,
                                 av.alpha_cut, av.row_k,
-                                /*for_backward=*/!simd_batch,
-                                /*stage_soa=*/simd_batch);
-            } else if (!simd_batch) {
-                // Forward staging carries hot/color; the scalar replay
-                // additionally accumulates into stage.grads.
-                stage.grads.assign(len, ProjectionGrads{});
-            }
+                                /*stage_soa=*/true);
 
-            const int ty = static_cast<int>(t) / fwd.tiles_x;
-            const int tx = static_cast<int>(t) % fwd.tiles_x;
-            const int px0 = tx * cfg.tile_size;
-            const int py0 = ty * cfg.tile_size;
-            const int px1 = std::min(px0 + cfg.tile_size, w);
-            const int py1 = std::min(py0 + cfg.tile_size, h);
+            const size_t need = len * static_cast<size_t>(kG8Comps) * 8;
+            // Growth zero-fills; the existing prefix is zero by the
+            // flush invariant below.
+            if (g8.size() < need)
+                g8.resize(need, 0.0f);
+            replayTile(kern, cfg, stage, fwd, d_image, t, g8.data());
 
-            if (simd_batch) {
-                const size_t need =
-                    len * static_cast<size_t>(kG8Comps) * 8;
-                // Growth zero-fills; the existing prefix is zero by the
-                // flush invariant below.
-                if (g8.size() < need)
-                    g8.resize(need, 0.0f);
-                BackwardTileArgs args;
-                args.mean_x = stage.soa_mean_x.data();
-                args.mean_y = stage.soa_mean_y.data();
-                args.conic_a = stage.soa_conic_a.data();
-                args.conic_b = stage.soa_conic_b.data();
-                args.conic_c = stage.soa_conic_c.data();
-                args.power_cut = stage.soa_power_cut.data();
-                args.row_k = stage.soa_row_k.data();
-                args.opacity = stage.soa_opacity.data();
-                args.color_r = stage.soa_color_r.data();
-                args.color_g = stage.soa_color_g.data();
-                args.color_b = stage.soa_color_b.data();
-                args.len = len;
-                args.px0 = px0;
-                args.px1 = px1;
-                args.py0 = py0;
-                args.py1 = py1;
-                args.width = w;
-                args.alpha_min = alpha_min;
-                args.background = background;
-                args.final_t = fwd.final_t.data();
-                args.n_contrib = fwd.n_contrib.data();
-                args.d_image = d_image.data().data();
-                args.grad8 = g8.data();
-                kern.backward_tile(args);
-
-                // Flush in staged order with the fixed lane reduction,
-                // re-zeroing each block while it is cache-hot (the
-                // all-zero-between-tiles invariant).
-                for (size_t j = 0; j < len; ++j) {
-                    float *blk =
-                        g8.data()
-                        + j * static_cast<size_t>(kG8Comps) * 8;
-                    accumulate(acc[fwd.isect_vals[range.begin + j]],
-                               reduceLanes(blk));
-                    std::memset(blk, 0,
-                                static_cast<size_t>(kG8Comps) * 8
-                                    * sizeof(float));
-                }
-            } else {
-                backwardTileScalar(stage, fwd, d_image, px0, px1, py0,
-                                   py1, w, alpha_min, background);
-                for (size_t j = 0; j < len; ++j)
-                    accumulate(acc[fwd.isect_vals[range.begin + j]],
-                               stage.grads[j]);
+            // Flush in staged order with the fixed lane reduction,
+            // re-zeroing each block while it is cache-hot (the
+            // all-zero-between-tiles invariant).
+            for (size_t j = 0; j < len; ++j) {
+                float *blk =
+                    g8.data() + j * static_cast<size_t>(kG8Comps) * 8;
+                accumulate(acc[fwd.isect_vals[range.begin + j]],
+                           reduceLanes(blk));
+                std::memset(blk, 0,
+                            static_cast<size_t>(kG8Comps) * 8
+                                * sizeof(float));
             }
         }
     };

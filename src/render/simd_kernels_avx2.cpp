@@ -18,8 +18,7 @@
 
 #include "render/simd_kernels.hpp"
 
-#if !defined(CLM_DISABLE_SIMD) \
-    && (defined(__x86_64__) || defined(__i386__)) \
+#if (defined(__x86_64__) || defined(__i386__)) \
     && (defined(__GNUC__) || defined(__clang__))
 
 // Pre-include (outside the target region) everything the kernels touch.

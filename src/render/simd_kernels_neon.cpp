@@ -1,14 +1,12 @@
 /**
  * @file
  * NEON instance of the render kernel table (AArch64, where NEON is
- * baseline — no target pragma needed). Absent (nullptr) elsewhere and
- * in -DCLM_DISABLE_SIMD=ON builds.
+ * baseline — no target pragma needed). Absent (nullptr) elsewhere.
  */
 
 #include "render/simd_kernels.hpp"
 
-#if !defined(CLM_DISABLE_SIMD) && defined(__aarch64__) \
-    && defined(__ARM_NEON)
+#if defined(__aarch64__) && defined(__ARM_NEON)
 
 #include "render/arena.hpp"
 #include "render/binning.hpp"

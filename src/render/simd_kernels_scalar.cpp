@@ -1,10 +1,10 @@
 /**
  * @file
  * Scalar instance of the render kernel table — compiled into every
- * build (it is the dispatch fallback, and the only table of
- * -DCLM_DISABLE_SIMD=ON builds). Runs the same F8 op sequence as the
- * vector backends lane by lane, so its outputs are bitwise identical
- * to theirs.
+ * build: the dispatch fallback and the scalar reference (forced by
+ * CLM_SIMD=scalar or RenderConfig::kernels). Runs the same F8 op
+ * sequence as the vector backends lane by lane, so its outputs are
+ * bitwise identical to theirs.
  */
 
 #include "render/simd_kernels.hpp"

@@ -2,14 +2,12 @@
  * @file
  * SSE2 instance of the render kernel table. SSE2 is the x86-64
  * baseline, so no target pragma is needed — the TU simply forces the
- * SSE2 F8 backend. Absent (nullptr) on non-x86 targets and in
- * -DCLM_DISABLE_SIMD=ON builds.
+ * SSE2 F8 backend. Absent (nullptr) on non-x86 targets.
  */
 
 #include "render/simd_kernels.hpp"
 
-#if !defined(CLM_DISABLE_SIMD) \
-    && (defined(__x86_64__) || (defined(__i386__) && defined(__SSE2__)))
+#if defined(__x86_64__) || (defined(__i386__) && defined(__SSE2__))
 
 #include "render/arena.hpp"
 #include "render/binning.hpp"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "math/stats.hpp"
 #include "obs/trace.hpp"
 #include "render/culling.hpp"
 #include "shard/router.hpp"
@@ -11,7 +10,6 @@
 #include "shard/shard_renderer.hpp"
 #include "shard/sharded_snapshot.hpp"
 #include "util/logging.hpp"
-#include "util/mix.hpp"
 
 namespace clm {
 
@@ -26,12 +24,6 @@ serveStatusName(ServeStatus s)
     case ServeStatus::ThrottledClient: return "throttled_client";
     }
     return "unknown";
-}
-
-uint64_t
-latencyReservoirSlot(uint64_t seed, uint64_t index)
-{
-    return splitmix64(seed ^ index) % index;
 }
 
 RenderService::RenderService(const SnapshotSlot &snapshots,
@@ -236,7 +228,6 @@ RenderService::workerLoop()
     BatchRenderArena arena;
     std::vector<Camera> cams;
     std::vector<std::vector<uint32_t>> subsets;
-    std::vector<double> latencies;
 
     while (true) {
         if (config_.faults != nullptr)
@@ -260,7 +251,6 @@ RenderService::workerLoop()
                    "RenderService: render requested before the first "
                    "snapshot publish");
         const size_t n = batch.size();
-        latencies.resize(n);
 
         auto respond = [&](size_t v, Image image, double batch_t0,
                            double render_s) {
@@ -274,10 +264,10 @@ RenderService::workerLoop()
             resp.batch_size = static_cast<int>(n);
             resp.queue_s = batch_t0 - batch[v].enqueue_s;
             resp.render_s = render_s;
-            latencies[v] = clock_.seconds() - batch[v].enqueue_s;
             m_queue_wait_ms_->record(resp.queue_s * 1e3);
             m_render_ms_->record(render_s * 1e3);
-            m_latency_ms_->record(latencies[v] * 1e3);
+            m_latency_ms_->record(
+                (clock_.seconds() - batch[v].enqueue_s) * 1e3);
             batch[v].reply.set_value(std::move(resp));
         };
 
@@ -328,7 +318,7 @@ RenderService::workerLoop()
                 respond(v, out.image, t0, render_s);
             }
         }
-        recordBatch(n, latencies.data(), snap->version);
+        recordBatch(n, snap->version);
     }
 }
 
@@ -341,7 +331,6 @@ RenderService::shardedWorkerLoop()
     ShardBatchRenderArena batch_arena;
     std::vector<Camera> cams;
     std::vector<uint32_t> union_scratch;
-    std::vector<double> latencies;
     ShardRouter router;
     uint64_t router_version = 0;    //!< Base version router was built on.
 
@@ -370,7 +359,6 @@ RenderService::shardedWorkerLoop()
             router_version = snap->base->version;
         }
         const size_t n = batch.size();
-        latencies.resize(n);
         uint64_t selected_sum = 0;
         uint64_t total_sum = 0;
         uint64_t union_shards = 0;
@@ -411,10 +399,10 @@ RenderService::shardedWorkerLoop()
                     static_cast<int>(batch_arena.routes[v].size());
                 selected_sum += batch_arena.routes[v].size();
                 total_sum += snap->shardCount();
-                latencies[v] = clock_.seconds() - batch[v].enqueue_s;
                 m_queue_wait_ms_->record(resp.queue_s * 1e3);
                 m_render_ms_->record(render_s * 1e3);
-                m_latency_ms_->record(latencies[v] * 1e3);
+                m_latency_ms_->record(
+                    (clock_.seconds() - batch[v].enqueue_s) * 1e3);
                 batch[v].reply.set_value(std::move(resp));
             }
         } else {
@@ -452,10 +440,10 @@ RenderService::shardedWorkerLoop()
                 union_scratch.insert(union_scratch.end(),
                                      arena.route.begin(),
                                      arena.route.end());
-                latencies[v] = clock_.seconds() - batch[v].enqueue_s;
                 m_queue_wait_ms_->record(resp.queue_s * 1e3);
                 m_render_ms_->record(render_s * 1e3);
-                m_latency_ms_->record(latencies[v] * 1e3);
+                m_latency_ms_->record(
+                    (clock_.seconds() - batch[v].enqueue_s) * 1e3);
                 batch[v].reply.set_value(std::move(resp));
             }
             std::sort(union_scratch.begin(), union_scratch.end());
@@ -463,14 +451,13 @@ RenderService::shardedWorkerLoop()
                 std::unique(union_scratch.begin(), union_scratch.end())
                 - union_scratch.begin());
         }
-        recordBatch(n, latencies.data(), snap->base->version,
+        recordBatch(n, snap->base->version,
                     selected_sum, total_sum, union_shards);
     }
 }
 
 void
-RenderService::recordBatch(size_t batch_size, const double *latencies_s,
-                           uint64_t snapshot_version,
+RenderService::recordBatch(size_t batch_size, uint64_t snapshot_version,
                            uint64_t shards_selected_sum,
                            uint64_t shards_total_sum,
                            uint64_t union_shards)
@@ -483,24 +470,6 @@ RenderService::recordBatch(size_t batch_size, const double *latencies_s,
     if (batch_occupancy_.size() < batch_size)
         batch_occupancy_.resize(batch_size, 0);
     ++batch_occupancy_[batch_size - 1];
-    for (size_t v = 0; v < batch_size; ++v) {
-        // Algorithm-R uniform reservoir. The replacement slot for the
-        // i-th observation is splitmix64(seed, i) % i — a pure function
-        // of the (seed, index) pair, so the set of sampled indices is
-        // reproducible run-to-run regardless of how worker threads
-        // interleave their recordBatch calls.
-        const double l = latencies_s[v];
-        max_latency_s_ = std::max(max_latency_s_, l);
-        ++latency_count_;
-        if (latencies_s_.size() < kLatencyReservoir) {
-            latencies_s_.push_back(l);
-        } else {
-            const uint64_t j = latencyReservoirSlot(config_.latency_seed,
-                                                    latency_count_);
-            if (j < kLatencyReservoir)
-                latencies_s_[j] = l;
-        }
-    }
     if (min_version_ == 0 || snapshot_version < min_version_)
         min_version_ = snapshot_version;
     if (snapshot_version > max_version_)
@@ -533,8 +502,10 @@ RenderService::stats() const
     s.render_p50_ms = m_render_ms_->percentile(50);
     s.render_p99_ms = m_render_ms_->percentile(99);
     s.render_mean_ms = m_render_ms_->mean();
-    std::vector<double> lat;
-    double max_latency_s;
+    s.p50_ms = m_latency_ms_->percentile(50);
+    s.p99_ms = m_latency_ms_->percentile(99);
+    s.mean_ms = m_latency_ms_->mean();
+    s.max_ms = m_latency_ms_->max();
     uint64_t sel_sum, tot_sum;
     {
         std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -548,8 +519,6 @@ RenderService::stats() const
                 / static_cast<double>(sharded_batches_);
         sel_sum = shards_selected_sum_;
         tot_sum = shards_total_sum_;
-        lat = latencies_s_;
-        max_latency_s = max_latency_s_;
     }
     s.queue_depth = queue_.size();
     m_queue_depth_->set(static_cast<double>(s.queue_depth));
@@ -567,16 +536,6 @@ RenderService::stats() const
                 1.0
                 - static_cast<double>(sel_sum)
                       / static_cast<double>(tot_sum);
-    }
-    if (!lat.empty()) {
-        double sum = 0;
-        for (double l : lat)
-            sum += l;
-        s.mean_ms = sum / lat.size() * 1e3;
-        s.max_ms = max_latency_s * 1e3;    // exact, not sampled
-        EmpiricalCdf cdf(std::move(lat));
-        s.p50_ms = cdf.percentile(50.0) * 1e3;
-        s.p99_ms = cdf.percentile(99.0) * 1e3;
     }
     return s;
 }

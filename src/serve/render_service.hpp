@@ -145,11 +145,6 @@ struct ServeConfig
      *  each request of a batch view-at-a-time (the bench baseline);
      *  frames are bitwise identical either way. */
     bool fused_batch = true;
-    /** Seed of the deterministic latency-reservoir sampling (see
-     *  ServeStats): which observation indices end up in the p50/p99
-     *  sample is a pure function of this seed, so percentile estimates
-     *  are reproducible run-to-run for a fixed request schedule. */
-    uint64_t latency_seed = 0x5e12e;
     /** Overload policy: shed/deadline/fairness (see AdmissionConfig). */
     AdmissionConfig admission;
     /** Fault injection, tests only (util/fault.hpp): may stall workers
@@ -210,14 +205,11 @@ struct ServeStats
     uint64_t throttled_client = 0;   //!< ThrottledClient responses.
     size_t queue_depth = 0;          //!< Gauge: queued right now.
     /// @}
-    /** Latency percentiles/mean/max come from a bounded uniform
-     *  reservoir sample of the per-request latencies of *admitted*
-     *  (rendered) requests (the counters are exact), so a long-running
-     *  service never accumulates unbounded per-request state.
-     *  Reservoir membership is decided by a deterministic hash of
-     *  (ServeConfig::latency_seed, observation index) — not a shared
-     *  RNG whose draw order would depend on worker interleaving — so
-     *  the sampled index set is reproducible run-to-run. */
+    /** End-to-end latency of *admitted* (rendered) requests, read from
+     *  the serve.latency_ms registry histogram — the same source the
+     *  SLO rules evaluate, so the two can never disagree. Percentiles
+     *  are log-bucket upper edges (deterministic, ~9% resolution);
+     *  mean and max are exact. */
     double p50_ms = 0;               //!< Median request latency.
     double p99_ms = 0;               //!< Tail request latency.
     double mean_ms = 0;
@@ -225,10 +217,8 @@ struct ServeStats
     /** @name Latency decomposition (PR 9)
      * WHERE admitted requests spent their time: queued behind other
      * work vs being rendered. Sourced from the serve.queue_wait_ms /
-     * serve.render_ms registry histograms, so percentiles here are
-     * log-bucket upper edges (deterministic, ~9% resolution) rather
-     * than the reservoir-exact end-to-end p50_ms/p99_ms above; means
-     * are exact. queue_wait counts per request; render time counts the
+     * serve.render_ms registry histograms, bucketed like p50_ms/p99_ms
+     * above. queue_wait counts per request; render time counts the
      * batch render wall time once per request of the batch.
      */
     /// @{
@@ -263,17 +253,6 @@ struct ServeStats
     double mean_batch_shards = 0;
     /// @}
 };
-
-/**
- * Deterministic Algorithm-R replacement slot for the @p index-th
- * latency observation (1-based): a pure function of (seed, index)
- * returning j uniform-ish in [0, index). Observations with
- * j < reservoir-size replace slot j; everything else is dropped. Being
- * index-keyed (not a shared-RNG draw) makes the sampled index set
- * reproducible run-to-run regardless of worker-thread interleaving —
- * the property that keeps benched p50/p99 stable across reruns.
- */
-uint64_t latencyReservoirSlot(uint64_t seed, uint64_t index);
 
 /** See file comment. */
 class RenderService
@@ -371,8 +350,7 @@ class RenderService
     void failRequest(PendingRequest &req, ServeStatus status);
     /** Token-bucket check; true admits (and debits) the client. */
     bool admitClient(uint64_t client_id);
-    void recordBatch(size_t batch_size, const double *latencies_s,
-                     uint64_t snapshot_version,
+    void recordBatch(size_t batch_size, uint64_t snapshot_version,
                      uint64_t shards_selected_sum = 0,
                      uint64_t shards_total_sum = 0,
                      uint64_t union_shards = 0);
@@ -391,10 +369,6 @@ class RenderService
 
     std::mutex admission_mutex_;    //!< Guards buckets_.
     std::unordered_map<uint64_t, TokenBucket> buckets_;
-
-    /** Reservoir size for latency percentiles: plenty for stable
-     *  p50/p99 while bounding the service's per-request state. */
-    static constexpr size_t kLatencyReservoir = 4096;
 
     /** Private registry used when ServeConfig::metrics is null. */
     MetricsRegistry own_metrics_;
@@ -422,9 +396,6 @@ class RenderService
     mutable std::mutex stats_mutex_;
     uint64_t min_version_ = 0;
     uint64_t max_version_ = 0;
-    uint64_t latency_count_ = 0;     //!< Latencies ever observed.
-    std::vector<double> latencies_s_;    //!< Uniform reservoir sample.
-    double max_latency_s_ = 0;
     uint64_t shards_selected_sum_ = 0;   //!< Sharded-mode accumulators.
     uint64_t shards_total_sum_ = 0;
     uint64_t sharded_requests_ = 0;

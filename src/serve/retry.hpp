@@ -7,7 +7,7 @@
  * with capped exponential backoff. The jitter is *deterministic*: a
  * pure function of (seed, request key, attempt) via splitmix64, so a
  * fixed client schedule replays the same backoff sequence run-to-run —
- * same spirit as the deterministic latency reservoir and FaultPlan.
+ * same spirit as FaultPlan.
  *
  * Used by the clm_cli serve clients and the flythrough example;
  * submitWithRetry() is the synchronous convenience wrapper.

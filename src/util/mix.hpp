@@ -2,9 +2,9 @@
  * @file
  * SplitMix64 — the standard 64-bit finalizer, shared by every component
  * that needs a *stateless* deterministic decision keyed on integers
- * (latency-reservoir slots, fault-injection firing, retry jitter):
- * hashing (seed ^ index) gives a reproducible per-occurrence draw with
- * no shared RNG whose draw order would depend on thread interleaving.
+ * (fault-injection firing, retry jitter): hashing (seed ^ index) gives
+ * a reproducible per-occurrence draw with no shared RNG whose draw order
+ * would depend on thread interleaving.
  */
 
 #ifndef CLM_UTIL_MIX_HPP

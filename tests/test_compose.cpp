@@ -5,8 +5,8 @@
  * (renderBackwardBatch). The tentpole contracts:
  *
  *  - renderForwardBatchSharded() is bitwise identical, per view, to
- *    sequential unsharded renderForward() — for K in {1, 2, 4, 8}, in
- *    the SIMD and scalar compositor configs, under arena reuse, and
+ *    sequential unsharded renderForward() — for K in {1, 2, 4, 8}, under
+ *    the dispatched and the scalar kernel tables, under arena reuse, and
  *    across routing edge cases (disjoint frusta, single-view batches,
  *    empty-route members, a routed shard whose exact cull keeps
  *    nothing).
@@ -15,7 +15,7 @@
  *  - renderBackwardBatch() accumulates gradients bitwise identical to
  *    the sequential per-view renderBackward loop — batched ==
  *    sequential, parallel == serial, retained == re-staged staging,
- *    under the dispatched, forced-scalar and use_simd=false kernels —
+ *    under the dispatched and forced-scalar kernel tables —
  *    and the fused GpuOnlyTrainer step reproduces the view-at-a-time
  *    parameter trajectory exactly.
  *  - The sharded RenderService coalesces batches through the composed
@@ -151,7 +151,6 @@ TEST(ComposedForward, BitwiseIdenticalToUnshardedSimd)
     ComposeFixture fix;
     RenderConfig cfg;
     cfg.sh_degree = 2;
-    cfg.use_simd = true;    // scalar fallback in CLM_DISABLE_SIMD builds
     checkComposedAgainstUnsharded(fix, cfg, {1, 2, 4, 8});
 }
 
@@ -160,7 +159,8 @@ TEST(ComposedForward, BitwiseIdenticalToUnshardedScalar)
     ComposeFixture fix;
     RenderConfig cfg;
     cfg.sh_degree = 2;
-    cfg.use_simd = false;    // the scalar reference compositor
+    // The scalar reference kernel table.
+    cfg.kernels = renderKernelsFor(SimdBackend::kScalar);
     checkComposedAgainstUnsharded(fix, cfg, {1, 2, 4, 8});
 }
 
@@ -495,7 +495,7 @@ TEST(FusedBackward, ParallelMatchesSerial)
         par, sequentialBackward(fix.model, fix.cams, fix.d_images, cfg));
 }
 
-TEST(FusedBackward, BitwiseAcrossKernelTablesAndScalarPath)
+TEST(FusedBackward, BitwiseAcrossKernelTables)
 {
     BackwardFixture fix;
     RenderConfig cfg;
@@ -517,16 +517,6 @@ TEST(FusedBackward, BitwiseAcrossKernelTablesAndScalarPath)
     expectGradsIdentical(
         fusedBackward(fix.model, fix.cams, fix.d_images, forced, true),
         ref);
-
-    // use_simd = false: the pre-SIMD reference replay
-    // (backwardTileScalar) — a different arithmetic structure, so it is
-    // only PSNR-close to the SIMD path; the fused==sequential contract
-    // still holds bitwise WITHIN the path.
-    RenderConfig no_simd = cfg;
-    no_simd.use_simd = false;
-    expectGradsIdentical(
-        fusedBackward(fix.model, fix.cams, fix.d_images, no_simd, true),
-        sequentialBackward(fix.model, fix.cams, fix.d_images, no_simd));
 }
 
 TEST(FusedBackward, ArenaReuseIsBitwiseNeutral)

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <numeric>
 
 #include "gaussian/io.hpp"
@@ -373,6 +374,39 @@ TEST(ModelIo, RejectsCountTheFileCannotHold)
     std::fwrite(&count, sizeof(count), 1, file);
     std::fclose(file);
     EXPECT_EQ(loadModel(path).size(), 3u);
+    std::remove(path.c_str());
+}
+
+TEST(ModelIo, RejectsNonFiniteParameters)
+{
+    // A well-formed file whose rows carry NaN or +-inf in any parameter
+    // (critical or not) fails like a bad count: it throws, it never
+    // hands a poisoned model to training or serving.
+    const std::string path = "/tmp/clm_test_nonfinite.bin";
+    Rng rng(15);
+    const GaussianModel m =
+        GaussianModel::random(4, {-1, -1, -1}, {1, 1, 1}, 0.1f, rng);
+    const long rows_begin = 16;    // magic, version, count
+    const long row_bytes = kParamsPerGaussian * sizeof(float);
+    const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                         std::numeric_limits<float>::infinity(),
+                         -std::numeric_limits<float>::infinity()};
+    // First critical float of row 0, a mid-row float of row 2, the
+    // last (opacity) float of row 3.
+    const long offsets[] = {rows_begin, rows_begin + 2 * row_bytes + 20,
+                            rows_begin + 4 * row_bytes - 4};
+    for (float v : bad) {
+        for (long off : offsets) {
+            saveModel(m, path);
+            EXPECT_EQ(loadModel(path).size(), 4u);
+            std::FILE *file = std::fopen(path.c_str(), "r+b");
+            ASSERT_NE(file, nullptr);
+            std::fseek(file, off, SEEK_SET);
+            std::fwrite(&v, sizeof(v), 1, file);
+            std::fclose(file);
+            EXPECT_ANY_THROW(loadModel(path)) << v << " at " << off;
+        }
+    }
     std::remove(path.c_str());
 }
 

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include "math/rng.hpp"
@@ -20,6 +22,21 @@
 #include "scene/camera_path.hpp"
 #include "scene/scene_spec.hpp"
 #include "scene/synthetic.hpp"
+
+// The kernel body compiled once more on the scalar F8 backend with
+// 3-entry position blocks, so ordinary tiles span many blocks
+// (RenderKernelBlocks below).
+#define CLM_F8_FORCE_SCALAR 1
+#define CLM_KERNEL_POS_BLOCK size_t(3)
+#include "math/simd.hpp"
+
+namespace clm {
+namespace {
+namespace small_block {
+#include "render/simd_kernels_impl.inl"
+} // namespace small_block
+} // namespace
+} // namespace clm
 
 namespace clm {
 namespace {
@@ -413,6 +430,98 @@ TEST(RenderBackward, GradientDescentReducesRealLoss)
     double after = eval(nullptr);
     EXPECT_LT(after, before);
 }
+
+TEST(RenderKernelBlocks, SmallPositionBlocksBitwiseEqualProductionTables)
+{
+    // Walking a tile in position blocks (re-basing the float lane
+    // position per block, carrying the lane state across) must not move
+    // a bit: with 3-entry blocks every multi-entry tile spans many
+    // blocks, and widths 97..103 leave lane tails at the right edge.
+    const RenderKernels blocked{SimdBackend::kScalar, "scalar-block3",
+                                &small_block::kernelCompositeTile,
+                                &small_block::kernelBackwardTile,
+                                &small_block::kernelCullPrefilter};
+    SceneSpec spec = SceneSpec::bicycle();
+    GaussianModel m = generateGroundTruth(spec, 600);
+    Rng rng(23);
+    for (int w = 97; w <= 103; w += 3) {
+        Camera cam = generateCameraPath(spec, 2, w, 61)[0];
+        auto subset = frustumCull(m, cam);
+        Image d_image(w, 61);
+        for (float &v : d_image.data())
+            v = rng.uniform(-0.5f, 0.5f);
+        RenderConfig cfg;
+        cfg.kernels = &blocked;
+        RenderOutput ref = renderForward(m, cam, subset, cfg);
+        EXPECT_GT(*std::max_element(ref.n_contrib.begin(),
+                                    ref.n_contrib.end()),
+                  30u);
+        std::vector<float> alpha_cut, row_k;
+        computeAlphaCutPowers(ref.projected, cfg.alpha_min, false,
+                              alpha_cut, row_k);
+        for (int b = 0; b < kNumSimdBackends; ++b) {
+            const RenderKernels *kern =
+                renderKernelsFor(static_cast<SimdBackend>(b));
+            if (!kern)
+                continue;
+            SCOPED_TRACE(std::string(kern->name) + " w="
+                         + std::to_string(w));
+            RenderConfig pcfg;
+            pcfg.kernels = kern;
+            RenderOutput out = renderForward(m, cam, subset, pcfg);
+            EXPECT_EQ(out.image.data(), ref.image.data());
+            EXPECT_EQ(out.final_t, ref.final_t);
+            EXPECT_EQ(out.n_contrib, ref.n_contrib);
+
+            // Backward: every tile's 8-lane partials, byte for byte.
+            TileStage stage;
+            for (size_t t = 0; t < ref.tile_ranges.size(); ++t) {
+                const TileRange range = ref.tile_ranges[t];
+                if (range.size() == 0)
+                    continue;
+                stage.stageFrom(ref.projected, ref.isect_vals, range,
+                                alpha_cut, row_k, /*stage_soa=*/true);
+                const size_t n8 = range.size() * kG8Comps * 8;
+                std::vector<float> g_ref(n8, 0.0f), g_out(n8, 0.0f);
+                BackwardTileArgs args;
+                args.mean_x = stage.soa_mean_x.data();
+                args.mean_y = stage.soa_mean_y.data();
+                args.conic_a = stage.soa_conic_a.data();
+                args.conic_b = stage.soa_conic_b.data();
+                args.conic_c = stage.soa_conic_c.data();
+                args.power_cut = stage.soa_power_cut.data();
+                args.row_k = stage.soa_row_k.data();
+                args.opacity = stage.soa_opacity.data();
+                args.color_r = stage.soa_color_r.data();
+                args.color_g = stage.soa_color_g.data();
+                args.color_b = stage.soa_color_b.data();
+                args.len = range.size();
+                const int tx = static_cast<int>(t) % ref.tiles_x;
+                const int ty = static_cast<int>(t) / ref.tiles_x;
+                args.px0 = tx * cfg.tile_size;
+                args.px1 = std::min(args.px0 + cfg.tile_size, w);
+                args.py0 = ty * cfg.tile_size;
+                args.py1 = std::min(args.py0 + cfg.tile_size, 61);
+                args.width = w;
+                args.alpha_min = cfg.alpha_min;
+                args.background = cfg.background;
+                args.final_t = ref.final_t.data();
+                args.n_contrib = ref.n_contrib.data();
+                args.d_image = d_image.data().data();
+                args.grad8 = g_ref.data();
+                blocked.backward_tile(args);
+                args.grad8 = g_out.data();
+                kern->backward_tile(args);
+                ASSERT_EQ(std::memcmp(g_ref.data(), g_out.data(),
+                                      n8 * sizeof(float)),
+                          0)
+                    << "tile " << t << " (" << range.size()
+                    << " entries)";
+            }
+        }
+    }
+}
+
 
 } // namespace
 } // namespace clm

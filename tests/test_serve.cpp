@@ -20,9 +20,11 @@
 #include <vector>
 
 #include "math/rng.hpp"
+#include "obs/metrics.hpp"
 #include "render/batch.hpp"
 #include "render/culling.hpp"
 #include "render/rasterizer.hpp"
+#include "render/simd_kernels.hpp"
 #include "scene/camera_path.hpp"
 #include "scene/scene_spec.hpp"
 #include "scene/synthetic.hpp"
@@ -119,34 +121,6 @@ TEST(FrustumCullBatch, SnapshotScopedCullCacheIsBitwiseNeutral)
     EXPECT_EQ(b, a);
 }
 
-TEST(ServeStats, LatencyReservoirSlotsAreDeterministic)
-{
-    // Satellite: reservoir membership is a pure function of
-    // (seed, observation index), so benched p50/p99 are reproducible
-    // run-to-run — no shared-RNG draw order involved.
-    for (uint64_t seed : {uint64_t(0x5e12e), uint64_t(1), uint64_t(42)}) {
-        size_t hits = 0;
-        for (uint64_t i = 4097; i < 8192; ++i) {
-            const uint64_t j = latencyReservoirSlot(seed, i);
-            EXPECT_EQ(j, latencyReservoirSlot(seed, i));    // pure
-            EXPECT_LT(j, i);                                // in range
-            if (j < 4096)
-                ++hits;
-        }
-        // Algorithm R keeps the sample uniform: the acceptance rate
-        // over indices (R, 2R] is ~R * (H(2R) - H(R)) ≈ R ln 2 — allow
-        // generous slack, this is a sanity band, not a statistics test.
-        EXPECT_GT(hits, 4096 * 0.55);
-        EXPECT_LT(hits, 4096 * 0.85);
-    }
-    // Different seeds sample different index sets (the seed matters).
-    size_t differs = 0;
-    for (uint64_t i = 4097; i < 4197; ++i)
-        if (latencyReservoirSlot(1, i) != latencyReservoirSlot(2, i))
-            ++differs;
-    EXPECT_GT(differs, 50u);
-}
-
 TEST(FrustumCullBatch, SerialAndParallelIdentical)
 {
     BatchFixture fix;
@@ -184,7 +158,6 @@ TEST(RenderForwardBatch, BitwiseIdenticalToSequentialSimd)
     std::vector<Camera> cams(fix.cameras.begin(), fix.cameras.begin() + 3);
     RenderConfig cfg;
     cfg.sh_degree = 2;
-    cfg.use_simd = true;    // scalar fallback in CLM_DISABLE_SIMD builds
     checkBatchAgainstSequential(fix, cams, cfg);
 }
 
@@ -194,7 +167,8 @@ TEST(RenderForwardBatch, BitwiseIdenticalToSequentialScalar)
     std::vector<Camera> cams(fix.cameras.begin(), fix.cameras.begin() + 3);
     RenderConfig cfg;
     cfg.sh_degree = 2;
-    cfg.use_simd = false;    // the scalar reference compositor
+    // The scalar reference kernel table.
+    cfg.kernels = renderKernelsFor(SimdBackend::kScalar);
     checkBatchAgainstSequential(fix, cams, cfg);
 }
 
@@ -487,6 +461,38 @@ TEST(RenderService, ServesFramesIdenticalToDirectRenders)
     EXPECT_LE(stats.p50_ms, stats.p99_ms);
     EXPECT_EQ(stats.min_snapshot_version, 1u);
     EXPECT_EQ(stats.max_snapshot_version, 1u);
+}
+
+TEST(ServeStats, LatencyPercentilesComeFromTheRegistryHistogram)
+{
+    // One source per quantity: the latency fields ServeStats reports
+    // (and clm_cli serve prints) are the serve.latency_ms histogram the
+    // SLO rules evaluate, never a second estimate of the same thing.
+    BatchFixture fix(600);
+    SnapshotSlot slot;
+    slot.publish(fix.model, 0);
+    MetricsRegistry registry;
+    ServeConfig cfg;
+    cfg.workers = 2;
+    cfg.render.sh_degree = 1;
+    cfg.metrics = &registry;
+    RenderService service(slot, cfg);
+    std::vector<std::future<RenderResponse>> futs;
+    for (int r = 0; r < 40; ++r)
+        futs.push_back(service.submit(fix.cameras[r % 6]));
+    for (auto &f : futs)
+        ASSERT_TRUE(f.get().ok());
+    service.stop();
+
+    const Histogram &h =
+        registry.histogram("serve.latency_ms", 1e-3, 1e5, 8);
+    ASSERT_EQ(h.count(), 40u);
+    const ServeStats stats = service.stats();
+    EXPECT_EQ(stats.p50_ms, h.percentile(50));
+    EXPECT_EQ(stats.p99_ms, h.percentile(99));
+    EXPECT_EQ(stats.mean_ms, h.mean());
+    EXPECT_EQ(stats.max_ms, h.max());
+    EXPECT_GT(stats.p99_ms, 0.0);
 }
 
 TEST(RenderService, ViewAtATimeModeMatchesFused)

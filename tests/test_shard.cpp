@@ -7,8 +7,8 @@
  * in-frustum Gaussian; edge cases: zero shards hit, one-cluster
  * models, empty model, K = 1), and the tentpole exactness property —
  * renderForwardSharded is bitwise identical to unsharded renderForward
- * for shard counts {1, 2, 4, 8}, in the SIMD and scalar compositor
- * configs, with and without router pruning, under arena reuse — plus
+ * for shard counts {1, 2, 4, 8}, under the dispatched and the scalar
+ * kernel tables, with and without router pruning, under arena reuse — plus
  * the sharded RenderService end to end.
  */
 
@@ -20,6 +20,7 @@
 
 #include "render/culling.hpp"
 #include "render/rasterizer.hpp"
+#include "render/simd_kernels.hpp"
 #include "scene/camera_path.hpp"
 #include "scene/scene_spec.hpp"
 #include "scene/synthetic.hpp"
@@ -363,7 +364,6 @@ TEST(ShardRenderer, BitwiseIdenticalToUnshardedSimd)
     ShardFixture fix;
     RenderConfig cfg;
     cfg.sh_degree = 2;
-    cfg.use_simd = true;    // scalar fallback in CLM_DISABLE_SIMD builds
     checkShardedAgainstUnsharded(fix, cfg, {1, 2, 4, 8});
 }
 
@@ -372,7 +372,8 @@ TEST(ShardRenderer, BitwiseIdenticalToUnshardedScalar)
     ShardFixture fix;
     RenderConfig cfg;
     cfg.sh_degree = 2;
-    cfg.use_simd = false;    // the scalar reference compositor
+    // The scalar reference kernel table.
+    cfg.kernels = renderKernelsFor(SimdBackend::kScalar);
     checkShardedAgainstUnsharded(fix, cfg, {1, 2, 4, 8});
 }
 
@@ -382,8 +383,8 @@ TEST(ShardRenderer, BitwiseIdenticalOnAllQualityHarnessScenes)
     // (Rubble), indoor (Alameda), street (Ithaca: long drives whose
     // directional frustums prune most shards), city-scale aerial
     // (BigCity) — so a scene-dependent regression on any (scene, K)
-    // pair cannot slip past. Bicycle gets the sweep in both compositor
-    // configs above.
+    // pair cannot slip past. Bicycle gets the sweep under both kernel
+    // tables above.
     for (const char *scene : {"Rubble", "Alameda", "Ithaca", "BigCity"}) {
         SCOPED_TRACE(scene);
         ShardFixture fix(scene, /*n_gaussians=*/1200, /*width=*/80,
